@@ -123,20 +123,6 @@ fn main() {
                     measure_cold(&args, harness.disk(), |io| db.execute(q, io))
                 }
             };
-            if std::env::var("CVR_PLANNER_DEBUG").is_ok() {
-                eprintln!(
-                    "# {} {:<8} est {:.4}s (cpu {:.4}s, {:.2} MB, {} seeks) measured {:.4}s (cpu {:.4}s, {})",
-                    q.id,
-                    cand.choice.label(),
-                    cand.seconds,
-                    cand.est.cpu_seconds,
-                    cand.est.io_bytes as f64 / (1024.0 * 1024.0),
-                    cand.est.seeks,
-                    m.seconds(),
-                    m.cpu.as_secs_f64(),
-                    cvr_bench::fmt_io(&m.io)
-                );
-            }
             grid.push((cand.choice.label(), cand.seconds, m));
         }
         let (best, est_best_seconds, best_m) = grid

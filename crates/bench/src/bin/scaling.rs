@@ -66,16 +66,6 @@ fn measure(engine: &ColumnEngine, args: &HarnessArgs, threads: usize) -> Sweep {
             let coord_cpu = thread_cpu_time().saturating_sub(coord_cpu0);
             let report = profile::finish();
             let crit = report.critical_path(coord_cpu);
-            if std::env::var_os("CVR_SCALING_DEBUG").is_some() {
-                eprintln!(
-                    "#   {} t={threads}: coord={:?} coord_busy={:?} work={:?} groups={:?}",
-                    q.id,
-                    coord_cpu,
-                    report.coordinator_busy,
-                    report.total_work(),
-                    report.groups.iter().map(|g| g.len()).collect::<Vec<_>>(),
-                );
-            }
             if best_crit.is_none_or(|b| crit < b) {
                 best_crit = Some(crit);
             }

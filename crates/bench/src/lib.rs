@@ -476,16 +476,6 @@ pub fn render_figure(
     out
 }
 
-/// Format an [`IoStats`] snippet for verbose output.
-pub fn fmt_io(io: &IoStats) -> String {
-    format!(
-        "{:.1} MB / {} pages / {} seeks",
-        io.bytes_read as f64 / (1024.0 * 1024.0),
-        io.pages_read,
-        io.seeks
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

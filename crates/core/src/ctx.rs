@@ -19,6 +19,7 @@
 //! marks the transient subset (shed, injected/transient I/O) a client may
 //! retry with backoff.
 
+use crate::sched::Scheduler;
 use crate::trace::{Span, Tracer};
 use cvr_storage::io::IoSession;
 use std::fmt;
@@ -129,6 +130,9 @@ struct CtxInner {
     /// Execution tracer, when this query is being observed. Set at most
     /// once, before execution; the disabled path costs one `OnceLock` load.
     tracer: OnceLock<Arc<Tracer>>,
+    /// The scheduler that admitted this query; its morsel fan-outs lease
+    /// workers from it. Set at most once, by admission.
+    sched: OnceLock<Arc<Scheduler>>,
 }
 
 /// Shared per-query control block; see the module docs. Clones share state.
@@ -162,6 +166,7 @@ impl QueryCtx {
                 mem_used: AtomicUsize::new(0),
                 mem_budget: mem_budget.unwrap_or(usize::MAX),
                 tracer: OnceLock::new(),
+                sched: OnceLock::new(),
             }),
         }
     }
@@ -175,6 +180,18 @@ impl QueryCtx {
     /// The attached tracer, if any.
     pub fn tracer(&self) -> Option<&Arc<Tracer>> {
         self.inner.tracer.get()
+    }
+
+    /// Record the scheduler that admitted this query. At most one per
+    /// context — later attaches are ignored.
+    pub(crate) fn attach_scheduler(&self, sched: Arc<Scheduler>) {
+        let _ = self.inner.sched.set(sched);
+    }
+
+    /// The scheduler that admitted this query; `None` when it was never
+    /// admitted, in which case its fan-outs get every worker they ask for.
+    pub(crate) fn scheduler(&self) -> Option<&Arc<Scheduler>> {
+        self.inner.sched.get()
     }
 
     /// Whether a tracer is attached (engines use this to skip building

@@ -77,6 +77,12 @@ impl ColumnEngine {
         ctx: &QueryCtx,
     ) -> Result<QueryOutput, QueryError> {
         let db = self.db(config);
+        // The serial plans stay: running `threads == 1` through the morsel
+        // pipeline gives the same outputs and bytes/pages/seeks, but it is
+        // slower. Measured at sf 0.02 on a 2-vCPU Xeon VM, median of 21
+        // runs per paper query, two passes: the 13 queries took 12.4–12.7 ms
+        // at `tICL` against 9.9–10.2 ms serial (Q3.1: 1.33–1.36 ms against
+        // 0.78–0.80 ms), and +9% at `tiCL`; `TICL` moved +3% and +30%.
         catch_injected(|| {
             if par.is_serial() {
                 if !config.late_materialization {
@@ -145,23 +151,10 @@ impl ColumnEngine {
         self.try_execute_with(&q.with_fact_order(fact_order), config, par, io, ctx)
     }
 
-    /// [`ColumnEngine::execute_planned`], additionally capturing the filter
-    /// phases for later warm reuse when the plan shape supports it (the
-    /// invisible join under late materialization). Charges on `io` are
+    /// [`ColumnEngine::try_execute_planned`], additionally capturing the
+    /// filter phases for later warm reuse when the plan shape supports it
+    /// (the invisible join under late materialization). Charges on `io` are
     /// byte-identical to an uncaptured execution.
-    pub fn execute_planned_capture(
-        &self,
-        q: &SsbQuery,
-        config: EngineConfig,
-        fact_order: &[usize],
-        par: Parallelism,
-        io: &IoSession,
-    ) -> (QueryOutput, Option<crate::invisible::FilterCapture>) {
-        self.try_execute_planned_capture(q, config, fact_order, par, io, &QueryCtx::unbounded())
-            .unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`ColumnEngine::execute_planned_capture`].
     pub fn try_execute_planned_capture(
         &self,
         q: &SsbQuery,
@@ -183,32 +176,10 @@ impl ColumnEngine {
     }
 
     /// Re-execute a plan from a [`crate::invisible::FilterCapture`] taken by
-    /// [`ColumnEngine::execute_planned_capture`] under the *same* query
+    /// [`ColumnEngine::try_execute_planned_capture`] under the *same* query
     /// filter, config, fact order, and store contents: the filter charges
-    /// replay and only phase 3 runs live. Returns `None` (caller runs cold)
-    /// when the plan shape or capture shape does not match.
-    pub fn execute_planned_warm(
-        &self,
-        q: &SsbQuery,
-        config: EngineConfig,
-        fact_order: &[usize],
-        par: Parallelism,
-        io: &IoSession,
-        capture: &crate::invisible::FilterCapture,
-    ) -> Option<QueryOutput> {
-        self.try_execute_planned_warm(
-            q,
-            config,
-            fact_order,
-            par,
-            io,
-            capture,
-            &QueryCtx::unbounded(),
-        )
-        .unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`ColumnEngine::execute_planned_warm`].
+    /// replay and only phase 3 runs live. Returns `Ok(None)` (caller runs
+    /// cold) when the plan shape or capture shape does not match.
     #[allow(clippy::too_many_arguments)]
     pub fn try_execute_planned_warm(
         &self,

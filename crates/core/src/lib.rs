@@ -26,10 +26,9 @@
 //!   is split into morsels claimed by scoped worker threads, with partial
 //!   aggregates and per-morsel I/O logs merged deterministically in morsel
 //!   order ([`Parallelism`] / `CVR_THREADS` select the thread count);
-//! * [`sched`] — the process-wide query scheduler: admission control plus
-//!   fair worker-lease sharing across concurrent morsel fan-outs
-//!   (`CVR_SCHED_WORKERS` / `CVR_SCHED_QUERIES`), with queue-depth and
-//!   deadline-aware load shedding (`CVR_SCHED_QUEUE_MAX`);
+//! * [`sched`] — the query scheduler: admission control plus fair
+//!   worker-lease sharing across the morsel fan-outs of the queries it
+//!   admitted, with queue-depth and deadline-aware load shedding;
 //! * [`ctx`] — the query lifecycle control block ([`QueryCtx`]: cooperative
 //!   cancellation, deadlines, memory budgets) and the typed [`QueryError`]
 //!   every abort path funnels into;

@@ -36,24 +36,11 @@ pub const DEFAULT_MORSEL_ROWS: u32 = 16_384;
 /// Smallest morsel [`run_morsels`] will auto-shrink to.
 const MIN_MORSEL_ROWS: u32 = 256;
 
-/// Default hard ceiling on morsel size in rows (1 Mi positions). Bounds the
-/// worst case work between morsel-boundary cancellation polls; the scan
-/// drivers add intra-morsel polls every [`crate::scan::SCAN_POLL_ROWS`]
-/// rows on top.
-pub const DEFAULT_MORSEL_MAX: u32 = 1 << 20;
-
-/// The process-wide morsel ceiling: `CVR_MORSEL_MAX` (clamped to
-/// `[64, 1<<26]`, rounded up to a whole mask word) or
-/// [`DEFAULT_MORSEL_MAX`]. Cached after the first call.
-pub fn morsel_max() -> u32 {
-    static MAX: OnceLock<u32> = OnceLock::new();
-    *MAX.get_or_init(|| {
-        match std::env::var("CVR_MORSEL_MAX").ok().and_then(|v| v.parse::<u32>().ok()) {
-            Some(n) if n >= 1 => n.clamp(64, 1 << 26).div_ceil(64) * 64,
-            _ => DEFAULT_MORSEL_MAX,
-        }
-    })
-}
+/// Hard ceiling on morsel size in rows (1 Mi positions). Bounds the worst
+/// case work between morsel-boundary cancellation polls; the scan drivers
+/// add intra-morsel polls every [`crate::scan::SCAN_POLL_ROWS`] rows on
+/// top.
+pub const MORSEL_MAX: u32 = 1 << 20;
 
 /// Degree of parallelism for one query execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,25 +64,17 @@ impl Parallelism {
     }
 
     /// The process default: `CVR_THREADS` when set (and ≥ 1), otherwise the
-    /// machine's available parallelism; morsel size from `CVR_MORSEL_ROWS`
-    /// when set (the chaos harnesses use it to force oversized morsels),
-    /// otherwise [`DEFAULT_MORSEL_ROWS`]. Cached after the first call.
+    /// machine's available parallelism, at [`DEFAULT_MORSEL_ROWS`]. Cached
+    /// after the first call.
     pub fn from_env() -> Parallelism {
         static THREADS: OnceLock<usize> = OnceLock::new();
-        static MORSEL_ROWS: OnceLock<u32> = OnceLock::new();
         let threads = *THREADS.get_or_init(|| {
             match std::env::var("CVR_THREADS").ok().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => n,
                 _ => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             }
         });
-        let morsel_rows = *MORSEL_ROWS.get_or_init(|| {
-            match std::env::var("CVR_MORSEL_ROWS").ok().and_then(|v| v.parse::<u32>().ok()) {
-                Some(n) if n >= 1 => n.min(1 << 26),
-                _ => DEFAULT_MORSEL_ROWS,
-            }
-        });
-        Parallelism { threads: threads.max(1), morsel_rows }
+        Parallelism::with_threads(threads)
     }
 
     /// True when this configuration takes the serial path.
@@ -159,13 +138,14 @@ pub fn try_run_morsels<T: Send>(
         start..((i as u32).saturating_add(1) * morsel).min(n)
     };
 
-    // Ask the shared scheduler (when one is installed — the server installs
-    // the process default) for a fair share of the machine's workers. The
-    // lease is held for the duration of the fan-out. Worker count never
-    // affects results or accounting — morsel-order merging guarantees
-    // byte-identity at any count — so throttling here is always safe.
-    let lease = crate::sched::lease(par.threads.min(count));
-    let workers = lease.granted().min(count);
+    // An admitted query asks its scheduler for a fair share of the
+    // workers; an unadmitted one gets what it asks for. The lease is held
+    // for the duration of the fan-out. Worker count never affects results
+    // or accounting — morsel-order merging guarantees byte-identity at any
+    // count — so throttling here is always safe.
+    let requested = par.threads.min(count);
+    let lease = ctx.scheduler().map(|sched| sched.grant(requested));
+    let workers = lease.as_ref().map_or(requested, |l| l.granted()).min(count);
 
     let stop = std::sync::atomic::AtomicBool::new(false);
     let failure: Mutex<Option<Abort>> = Mutex::new(None);
@@ -314,16 +294,16 @@ fn observe_fanout(ctx: &QueryCtx, busys: &[Duration], morsels: u64) {
 /// never straddle a morsel edge.
 pub fn grid(n: u32, par: Parallelism) -> (u32, usize) {
     let aim = n.div_ceil((par.threads * 4).max(1) as u32).max(MIN_MORSEL_ROWS);
-    // An explicitly enlarged morsel size (CVR_MORSEL_ROWS, or a struct
-    // literal above the default — how the chaos harness forces giant
-    // morsels) is honored as requested; the default auto-shrinks to `aim`
-    // for balance. Both are bounded by the process-wide `morsel_max` cap.
+    // An explicitly enlarged morsel size (a struct literal above the
+    // default — how the chaos harness forces giant morsels) is honored as
+    // requested; the default auto-shrinks to `aim` for balance. Both are
+    // bounded by the `MORSEL_MAX` cap.
     let want = if par.morsel_rows > DEFAULT_MORSEL_ROWS {
         par.morsel_rows
     } else {
         par.morsel_rows.min(aim)
     };
-    let morsel = want.clamp(1, morsel_max()).div_ceil(64) * 64;
+    let morsel = want.clamp(1, MORSEL_MAX).div_ceil(64) * 64;
     let count = (n.div_ceil(morsel) as usize).max(1);
     (morsel, count)
 }
@@ -406,11 +386,6 @@ pub mod profile {
             let span: Duration =
                 self.groups.iter().map(|g| g.iter().max().copied().unwrap_or_default()).sum();
             coordinator_cpu.saturating_sub(self.coordinator_busy) + span
-        }
-
-        /// Total CPU spent inside fan-outs across all workers.
-        pub fn total_work(&self) -> Duration {
-            self.groups.iter().flatten().sum()
         }
     }
 
@@ -552,9 +527,9 @@ mod tests {
         let (m, count) = grid(1_000_000, Parallelism { threads: 4, morsel_rows: big });
         assert_eq!(m, big.div_ceil(64) * 64);
         assert_eq!(count, 2);
-        // ... but never beyond the process-wide ceiling.
+        // ... but never beyond the ceiling.
         let (m, _) = grid(100_000_000, Parallelism { threads: 1, morsel_rows: u32::MAX });
-        assert!(m <= morsel_max());
+        assert_eq!(m, MORSEL_MAX);
         assert_eq!(m % 64, 0);
     }
 

@@ -1,42 +1,45 @@
-//! A process-wide query scheduler: admission control plus fair worker
-//! sharing for concurrent morsel-parallel queries.
+//! A query scheduler: admission control plus fair worker sharing for
+//! concurrent morsel-parallel queries.
 //!
 //! Before this module, every query's [`crate::morsel::run_morsels`] fan-out
 //! spawned up to `par.threads` workers of its own; N concurrent queries
 //! oversubscribed the machine N-fold. The scheduler fixes both halves:
 //!
 //! * **Admission** — [`Scheduler::admit`] bounds how many queries *execute*
-//!   at once (`CVR_SCHED_QUERIES`, default `max(4, workers)`). Excess
-//!   queries wait in FIFO ticket order; an admitted query holds its
-//!   [`QueryPermit`] until it finishes (RAII).
-//! * **Worker leases** — each `run_morsels` fan-out asks for its desired
-//!   worker count and is granted a *fair share* of the machine-wide budget
-//!   (`CVR_SCHED_WORKERS`, default available parallelism):
+//!   at once (default `max(4, workers)`). Excess queries wait in FIFO
+//!   ticket order; an admitted query holds its [`QueryPermit`] until it
+//!   finishes (RAII). Admission records the scheduler on the query's
+//!   [`QueryCtx`].
+//! * **Worker leases** — each fan-out under an admitted ctx asks that
+//!   ctx's scheduler for its desired worker count and is granted a *fair
+//!   share* of the worker budget (default available parallelism):
 //!   `min(requested, max(1, min(budget / active_queries, available)))`.
 //!   Leases never block and always grant at least one worker, so a fan-out
 //!   can always make progress; the degree of parallelism simply shrinks
 //!   when neighbors are running.
 //! * **Load shedding** — [`Scheduler::try_admit`] (the deadline-aware form
 //!   used by the server) rejects instead of queueing when the queue is at
-//!   `CVR_SCHED_QUEUE_MAX` or when the EWMA execution-time estimate says
+//!   [`DEFAULT_QUEUE_MAX`] or when the EWMA execution-time estimate says
 //!   the queue wait alone would blow the query's deadline; queued waiters
 //!   poll their [`QueryCtx`] and abandon their ticket on cancellation
 //!   without stalling the FIFO.
 //!
-//! Correctness is free: the morsel layer's determinism contract guarantees
-//! outputs and [`cvr_storage::io::IoStats`] are byte-identical at *every*
-//! worker count, so the scheduler can throttle arbitrarily without changing
-//! a single result byte. Components that never install a scheduler (the
-//! figure binaries, unit tests) see [`lease`] grant every request in full —
-//! exactly the pre-scheduler behavior.
+//! Each server `Session` owns one scheduler, so its counters and gauges
+//! describe its own statements only. Correctness is free: the morsel
+//! layer's determinism contract guarantees outputs and
+//! [`cvr_storage::io::IoStats`] are byte-identical at *every* worker count,
+//! so the scheduler can throttle arbitrarily without changing a single
+//! result byte. Queries that were never admitted (the figure binaries,
+//! unit tests, direct engine calls) have no scheduler on their ctx, and
+//! their fan-outs get every worker they ask for.
 
 use crate::ctx::{QueryCtx, QueryError};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Admission queue bound when none is configured: generous enough that
+/// Admission queue bound of the default scheduler: generous enough that
 /// batch harnesses never shed, small enough to bound memory under abuse.
 pub const DEFAULT_QUEUE_MAX: usize = 1024;
 
@@ -107,6 +110,16 @@ pub struct Scheduler {
     exec_ewma_ns: AtomicU64,
 }
 
+impl Default for Scheduler {
+    /// The host defaults: a worker budget of the machine's available
+    /// parallelism, `max(4, workers)` concurrent queries, and
+    /// [`DEFAULT_QUEUE_MAX`] waiters.
+    fn default() -> Scheduler {
+        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        Scheduler::with_queue_limit(workers, workers.max(4), DEFAULT_QUEUE_MAX)
+    }
+}
+
 impl Scheduler {
     /// A scheduler with explicit limits (both clamped to ≥ 1) and the
     /// default queue bound.
@@ -133,41 +146,28 @@ impl Scheduler {
         }
     }
 
-    /// The process-default scheduler: worker budget from
-    /// `CVR_SCHED_WORKERS` (default: available parallelism), query limit
-    /// from `CVR_SCHED_QUERIES` (default: `max(4, workers)`). Built once
-    /// and shared by every [`crate::engine::ColumnEngine`] consumer that
-    /// asks for it (the server's `Session` does).
+    /// A process-wide scheduler with the [`Default`] limits, built once.
+    /// Sessions do not use it: each builds its own.
     pub fn process_default() -> Arc<Scheduler> {
         static DEFAULT: OnceLock<Arc<Scheduler>> = OnceLock::new();
-        DEFAULT
-            .get_or_init(|| {
-                let env = |k: &str| {
-                    std::env::var(k).ok().and_then(|v| v.parse::<usize>().ok()).filter(|&n| n >= 1)
-                };
-                let workers = env("CVR_SCHED_WORKERS").unwrap_or_else(|| {
-                    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-                });
-                let queries = env("CVR_SCHED_QUERIES").unwrap_or_else(|| workers.max(4));
-                let queue = env("CVR_SCHED_QUEUE_MAX").unwrap_or(DEFAULT_QUEUE_MAX);
-                Arc::new(Scheduler::with_queue_limit(workers, queries, queue))
-            })
-            .clone()
+        DEFAULT.get_or_init(|| Arc::new(Scheduler::default())).clone()
     }
 
     /// Block until this query may execute; the returned permit admits it
-    /// until dropped. Waiters are served in arrival (ticket) order. This
-    /// legacy form never sheds and never gives up.
-    pub fn admit(self: &Arc<Scheduler>) -> QueryPermit {
-        self.admit_inner(&QueryCtx::unbounded(), false).expect("non-shedding admission cannot fail")
+    /// until dropped, and `ctx`'s fan-outs lease workers from this
+    /// scheduler. Waiters are served in arrival (ticket) order. This form
+    /// never sheds and never gives up.
+    pub fn admit(self: &Arc<Scheduler>, ctx: &QueryCtx) -> QueryPermit {
+        self.admit_inner(ctx, false).expect("non-shedding admission cannot fail")
     }
 
     /// Deadline- and overload-aware admission. Sheds immediately
-    /// ([`QueryError::Shed`], retryable) when the queue is at
-    /// `CVR_SCHED_QUEUE_MAX` or when the EWMA execution-time estimate says
-    /// the queue wait alone would blow `ctx`'s deadline; while queued, the
-    /// waiter polls `ctx` and abandons its ticket (without stalling the
-    /// FIFO) on cancellation or deadline expiry.
+    /// ([`QueryError::Shed`], retryable) when the queue is full or when
+    /// the EWMA execution-time estimate says the queue wait alone would
+    /// blow `ctx`'s deadline; while queued, the waiter polls `ctx` and
+    /// abandons its ticket (without stalling the FIFO) on cancellation or
+    /// deadline expiry. Once admitted, `ctx`'s fan-outs lease workers from
+    /// this scheduler.
     pub fn try_admit(self: &Arc<Scheduler>, ctx: &QueryCtx) -> Result<QueryPermit, QueryError> {
         self.admit_inner(ctx, true)
     }
@@ -268,6 +268,7 @@ impl Scheduler {
         // Queue wait of every admission (0 for immediate grants), so the
         // histogram's count matches admissions and p50 stays honest.
         metrics::queue_wait().observe(enqueued.elapsed().as_micros() as u64);
+        ctx.attach_scheduler(self.clone());
         Ok(QueryPermit { sched: self.clone(), started: Instant::now() })
     }
 
@@ -280,7 +281,7 @@ impl Scheduler {
 
     /// Grant a worker lease for one fan-out: never blocks, always grants at
     /// least 1, and at most `requested`.
-    fn grant(self: &Arc<Scheduler>, requested: usize) -> WorkerLease {
+    pub(crate) fn grant(self: &Arc<Scheduler>, requested: usize) -> WorkerLease {
         let requested = requested.max(1);
         let granted = {
             let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -296,7 +297,7 @@ impl Scheduler {
             self.throttled.fetch_add(1, Ordering::Relaxed);
             metrics::throttled().inc();
         }
-        WorkerLease { sched: Some(self.clone()), granted }
+        WorkerLease { sched: self.clone(), granted }
     }
 
     /// Counter snapshot plus current gauges (takes the state lock briefly).
@@ -345,7 +346,7 @@ impl Drop for QueryPermit {
 /// RAII worker lease; dropping it returns the workers to the budget.
 #[derive(Debug)]
 pub struct WorkerLease {
-    sched: Option<Arc<Scheduler>>,
+    sched: Arc<Scheduler>,
     granted: usize,
 }
 
@@ -358,10 +359,8 @@ impl WorkerLease {
 
 impl Drop for WorkerLease {
     fn drop(&mut self) {
-        if let Some(sched) = &self.sched {
-            let mut state = sched.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            state.leased_workers = state.leased_workers.saturating_sub(self.granted);
-        }
+        let mut state = self.sched.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        state.leased_workers = state.leased_workers.saturating_sub(self.granted);
     }
 }
 
@@ -413,45 +412,10 @@ mod metrics {
     );
 }
 
-/// The installed process-wide scheduler consulted by
-/// [`crate::morsel::run_morsels`]; `None` (the default) means every lease
-/// is granted in full.
-static INSTALLED: RwLock<Option<Arc<Scheduler>>> = RwLock::new(None);
-
-/// Install `sched` as the process-wide scheduler. Idempotent for the same
-/// instance; a later install replaces an earlier one (last wins).
-pub fn install(sched: Arc<Scheduler>) {
-    let mut slot = INSTALLED.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-    *slot = Some(sched);
-}
-
-/// Lease up to `requested` workers from the installed scheduler; grants
-/// `requested` in full when none is installed.
-pub fn lease(requested: usize) -> WorkerLease {
-    let slot = INSTALLED.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-    match slot.as_ref() {
-        Some(sched) => sched.grant(requested),
-        None => WorkerLease { sched: None, granted: requested.max(1) },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn uninstalled_leases_grant_in_full() {
-        // This test must not install anything (global state is shared
-        // across the test binary): the default path grants everything.
-        let l = match INSTALLED.read().unwrap().as_ref() {
-            None => lease(7),
-            // Another test installed a scheduler first; exercise the
-            // fallback constructor directly instead.
-            Some(_) => WorkerLease { sched: None, granted: 7 },
-        };
-        assert_eq!(l.granted(), 7);
-    }
 
     #[test]
     fn admission_bounds_concurrent_queries() {
@@ -462,7 +426,7 @@ mod tests {
             .map(|_| {
                 let (sched, peak, live) = (sched.clone(), peak.clone(), live.clone());
                 std::thread::spawn(move || {
-                    let _permit = sched.admit();
+                    let _permit = sched.admit(&QueryCtx::unbounded());
                     let now = live.fetch_add(1, Ordering::SeqCst) + 1;
                     peak.fetch_max(now, Ordering::SeqCst);
                     std::thread::sleep(std::time::Duration::from_millis(5));
@@ -482,8 +446,8 @@ mod tests {
     #[test]
     fn leases_split_the_budget_fairly() {
         let sched = Arc::new(Scheduler::new(8, 8));
-        let _p1 = sched.admit();
-        let _p2 = sched.admit();
+        let _p1 = sched.admit(&QueryCtx::unbounded());
+        let _p2 = sched.admit(&QueryCtx::unbounded());
         // Two active queries over an 8-worker budget: fair share is 4.
         let l1 = sched.grant(8);
         assert_eq!(l1.granted(), 4);
@@ -494,7 +458,7 @@ mod tests {
         assert_eq!(l3.granted(), 1);
         drop((l1, l2, l3));
         // All returned: a lone query gets whatever it asks for (≤ budget).
-        let _p3 = sched.admit();
+        let _p3 = sched.admit(&QueryCtx::unbounded());
         // fair = 8 / 3 = 2 with three active queries.
         assert_eq!(sched.grant(8).granted(), 2);
         assert!(sched.stats().throttled >= 3);
@@ -512,7 +476,7 @@ mod tests {
     #[test]
     fn full_queues_shed_instead_of_waiting() {
         let sched = Arc::new(Scheduler::with_queue_limit(4, 1, 1));
-        let hold = sched.admit();
+        let hold = sched.admit(&QueryCtx::unbounded());
         let queued = {
             let sched = sched.clone();
             std::thread::spawn(move || sched.try_admit(&QueryCtx::unbounded()))
@@ -531,7 +495,7 @@ mod tests {
     #[test]
     fn cancelled_waiters_abandon_their_ticket_without_stalling_the_fifo() {
         let sched = Arc::new(Scheduler::with_queue_limit(4, 1, 16));
-        let hold = sched.admit();
+        let hold = sched.admit(&QueryCtx::unbounded());
         let doomed_ctx = QueryCtx::unbounded();
         let doomed = {
             let (sched, ctx) = (sched.clone(), doomed_ctx.clone());
@@ -557,12 +521,12 @@ mod tests {
     fn hopeless_deadlines_are_shed_at_admission() {
         let sched = Arc::new(Scheduler::with_queue_limit(4, 1, 16));
         // Teach the EWMA that queries take ~30 ms.
-        let p = sched.admit();
+        let p = sched.admit(&QueryCtx::unbounded());
         std::thread::sleep(Duration::from_millis(30));
         drop(p);
         // With the single slot busy, a 5 ms deadline cannot survive a
         // predicted ~30 ms queue wait: shed up front.
-        let _hold = sched.admit();
+        let _hold = sched.admit(&QueryCtx::unbounded());
         let ctx = QueryCtx::with_limits(Some(Duration::from_millis(5)), None);
         let err = sched.try_admit(&ctx).unwrap_err();
         assert!(matches!(err, QueryError::Shed { .. }), "{err}");
@@ -572,7 +536,7 @@ mod tests {
     fn permits_release_on_drop() {
         let sched = Arc::new(Scheduler::new(4, 1));
         for _ in 0..3 {
-            let p = sched.admit();
+            let p = sched.admit(&QueryCtx::unbounded());
             drop(p);
         }
         assert_eq!(sched.stats().admitted, 3);

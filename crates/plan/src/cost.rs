@@ -74,8 +74,7 @@ impl Default for CpuRates {
     fn default() -> Self {
         CpuRates {
             // Effective rates, calibrated against serial warm-pool
-            // measurements of the repo's own engines at sf 0.02 (see the
-            // `planner` binary's CVR_PLANNER_DEBUG output): they fold in
+            // measurements of the repo's own engines at sf 0.02: they fold in
             // the surrounding machinery — mask banking and position
             // accumulation for SWAR words, run lookups for RLE — not just
             // the arithmetic.

@@ -67,24 +67,10 @@ use cvr_data::result::QueryOutput;
 use cvr_data::value::DataType;
 use cvr_storage::io::IoStats;
 use std::io::{Read, Write};
-use std::sync::OnceLock;
 
-/// Default frame-size cap when `CVR_MAX_FRAME` is unset (16 MiB).
-pub const DEFAULT_MAX_FRAME_BYTES: usize = 16 << 20;
-
-/// Frames larger than this are rejected as malformed before any payload
-/// allocation. `CVR_MAX_FRAME` (bytes, read once) overrides the 16 MiB
-/// default; malformed or zero values fall back to it.
-pub fn max_frame_bytes() -> usize {
-    static LIMIT: OnceLock<usize> = OnceLock::new();
-    *LIMIT.get_or_init(|| frame_limit_from(std::env::var("CVR_MAX_FRAME").ok().as_deref()))
-}
-
-fn frame_limit_from(var: Option<&str>) -> usize {
-    var.and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_MAX_FRAME_BYTES)
-}
+/// Frames larger than this (16 MiB) are rejected as malformed before any
+/// payload allocation.
+pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
 /// `Request::QueryOpts` flag bit: ship a `TRACE` frame (the execution's
 /// span tree) after the response frame.
@@ -235,11 +221,10 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
         Err(e) => return Err(e),
     }
     let len = u32::from_le_bytes(len) as usize;
-    let limit = max_frame_bytes();
-    if len > limit {
+    if len > MAX_FRAME_BYTES {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {limit}-byte limit"),
+            format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"),
         ));
     }
     let mut payload = vec![0u8; len];
@@ -673,13 +658,13 @@ mod tests {
     }
 
     #[test]
-    fn frame_limit_parses_and_falls_back() {
-        assert_eq!(frame_limit_from(None), DEFAULT_MAX_FRAME_BYTES);
-        assert_eq!(frame_limit_from(Some("1048576")), 1 << 20);
-        assert_eq!(frame_limit_from(Some(" 4096 ")), 4096);
-        for bad in ["", "0", "-1", "lots", "1e9"] {
-            assert_eq!(frame_limit_from(Some(bad)), DEFAULT_MAX_FRAME_BYTES, "{bad:?}");
-        }
+    fn frames_over_the_limit_are_rejected_before_allocation() {
+        let header = |len: usize| (len as u32).to_le_bytes();
+        let err = read_frame(&mut &header(MAX_FRAME_BYTES + 1)[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // At the limit the header is accepted; the missing payload is EOF.
+        let err = read_frame(&mut &header(MAX_FRAME_BYTES)[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 
     /// Decoders must reject arbitrary garbage with an `Err`, never a panic

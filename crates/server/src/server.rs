@@ -149,16 +149,6 @@ fn conn_timeouts() -> (Option<Duration>, Option<Duration>) {
     })
 }
 
-/// `CVR_TRACE=1` attaches a tracer to *every* statement (read once). The
-/// spans are recorded and dropped unless the request also asked for a
-/// `TRACE` frame — forcing tracing exercises its cost (the overhead gate
-/// in CI) without desynchronizing clients that expect one frame per
-/// request.
-fn trace_all() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var("CVR_TRACE").is_ok_and(|v| v.trim() == "1"))
-}
-
 /// The [`QueryCtx`] for one statement: the request's deadline when it
 /// carries one, the process default otherwise; the memory budget is always
 /// the process default.
@@ -457,10 +447,10 @@ fn serve_connection(session: &Session, registry: &Arc<CancelRegistry>, mut strea
 }
 
 /// Execute one statement: build its [`QueryCtx`], attach a tracer when the
-/// request (or `CVR_TRACE=1`) asked for one, register for cancellation,
-/// run, and — iff the request set [`FLAG_TRACE`] — produce the `TRACE`
-/// frame that follows the response (empty when nothing was recorded, so
-/// the client always reads exactly two frames).
+/// request set [`FLAG_TRACE`], register for cancellation, run, and — for a
+/// traced request — produce the `TRACE` frame that follows the response
+/// (empty when nothing was recorded, so the client always reads exactly
+/// two frames).
 fn answer_statement(
     session: &Session,
     registry: &Arc<CancelRegistry>,
@@ -469,19 +459,14 @@ fn answer_statement(
     deadline_ms: u32,
     flags: u8,
 ) -> (Response, Option<Response>) {
-    let want_frame = flags & FLAG_TRACE != 0;
     let ctx = ctx_for(deadline_ms);
-    let tracer = (want_frame || trace_all()).then(Tracer::new);
+    let tracer = (flags & FLAG_TRACE != 0).then(Tracer::new);
     if let Some(t) = &tracer {
         ctx.attach_tracer(t.clone());
     }
     let _reg = registry.register(token, ctx.clone());
     let response = answer_query(session, sql, &ctx);
-    // Always drain the tracer (a forced-trace run must not leak spans into
-    // the next statement's ctx — each ctx is fresh, but the Arc is cheap
-    // to drain regardless); ship it only when asked.
-    let root = tracer.as_ref().and_then(|t| t.take_root());
-    let trace = want_frame.then(|| match root {
+    let trace = tracer.map(|t| match t.take_root() {
         Some(r) => Response::Trace { text: r.render(0), json: r.to_json() },
         None => Response::Trace { text: String::new(), json: String::new() },
     });

@@ -19,7 +19,7 @@ use crate::cache::{CacheStats, QueryCache};
 use crate::parser::{self, ParseError, Statement};
 use cvr_core::ctx::catch_injected;
 use cvr_core::morsel::Parallelism;
-use cvr_core::sched::{self, Scheduler};
+use cvr_core::sched::Scheduler;
 use cvr_core::{ColumnEngine, QueryCtx, QueryError, SpanRecord, Tracer};
 use cvr_data::gen::SsbTables;
 use cvr_data::queries::{QueryId, SsbQuery};
@@ -179,8 +179,8 @@ pub struct Session {
     /// Row-engine physical designs, built lazily the first time a plan
     /// picks one and cached for the session's lifetime.
     row_dbs: Mutex<HashMap<RowDesign, Arc<RowDb>>>,
-    /// The shared scheduler every query passes through: admission first,
-    /// then fair worker leases inside the morsel fan-outs.
+    /// The session's scheduler every query passes through: admission
+    /// first, then fair worker leases inside the morsel fan-outs.
     sched: Arc<Scheduler>,
     /// Result/intermediate cache; `None` when disabled
     /// (`CVR_CACHE_BYTES=0`).
@@ -258,10 +258,10 @@ impl Session {
                 }
             },
         };
-        // Sessions share the process-default scheduler: concurrent queries
-        // split the machine's workers instead of each spawning a full pool.
-        let sched = Scheduler::process_default();
-        sched::install(sched.clone());
+        // Each session owns its scheduler: its concurrent queries split the
+        // machine's workers instead of each spawning a full pool, and its
+        // counters describe its own statements only.
+        let sched = Arc::new(Scheduler::default());
         Session {
             store: RwLock::new(Arc::new(store)),
             data_dir: Mutex::new(data_dir),
@@ -380,7 +380,7 @@ impl Session {
         self.cache.as_ref().map(QueryCache::stats)
     }
 
-    /// The shared scheduler this session admits queries through.
+    /// The scheduler this session admits queries through.
     pub fn scheduler(&self) -> &Arc<Scheduler> {
         &self.sched
     }
@@ -620,7 +620,7 @@ impl Session {
         // fan-outs inside then lease a fair share of the worker budget.
         // The sheddable path can be rejected here (queue full, hopeless
         // deadline) or abandon its ticket while queued (cancelled).
-        let _permit = if sheddable { self.sched.try_admit(ctx)? } else { self.sched.admit() };
+        let _permit = if sheddable { self.sched.try_admit(ctx)? } else { self.sched.admit(ctx) };
         let io = IoSession::new(BufferPool::unbounded());
         // Root span: the plan root's explain op (`column-plan` /
         // `row-plan`), so EXPLAIN ANALYZE zips the root by name. A no-op
@@ -692,7 +692,7 @@ impl Session {
             }
             // Shape mismatch (cannot happen with a fixed per-session
             // parallelism, but the contract is "fall back cold, never
-            // fail"): `execute_planned_warm` bails before charging.
+            // fail"): `try_execute_planned_warm` bails before charging.
             return engine.try_execute_planned(q, cfg, &plan.fact_order, self.par, io, ctx);
         }
         let (out, capture) =

@@ -5,12 +5,14 @@
 //! connections — produces *byte-identical* output and [`IoStats`] to the
 //! direct-descriptor path.
 
+use cvr_core::{ColumnEngine, EngineConfig, Parallelism, QueryCtx, SchedStats};
 use cvr_data::gen::SsbConfig;
-use cvr_data::queries::all_queries;
+use cvr_data::queries::{all_queries, SsbQuery};
 use cvr_data::workload::WorkloadConfig;
 use cvr_server::protocol::Response;
 use cvr_server::session::QueryResponse;
 use cvr_server::{parser, serve, Client, Session};
+use cvr_storage::io::IoSession;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -184,6 +186,46 @@ fn errors_and_explain_over_the_wire() {
     }
     client.close().expect("close");
     server.shutdown();
+}
+
+/// Each session admits and leases through its own scheduler: two sessions
+/// in one process count only their own statements, and an engine fan-out
+/// that no session admitted leases from neither of them.
+#[test]
+fn sessions_count_only_their_own_statements() {
+    let tables = Arc::new(SsbConfig::with_scale(0.001).generate());
+    let par = Parallelism { threads: 4, morsel_rows: 256 };
+    // No cache, so every statement is admitted and executed.
+    let (a, b) = (
+        Session::with_cache_budget(tables.clone(), par, 0),
+        Session::with_cache_budget(tables.clone(), par, 0),
+    );
+    let run = |session: &Session, q: &SsbQuery| -> bool {
+        !session.run_ctx(q, &QueryCtx::unbounded()).expect("runs").plan.starts_with("row:")
+    };
+
+    let column: Vec<SsbQuery> = all_queries().into_iter().filter(|q| run(&a, q)).collect();
+    assert!(!column.is_empty(), "some paper query must take a column plan");
+    let a_stats = a.scheduler().stats();
+    assert_eq!(a_stats.admitted, 13);
+    assert!(a_stats.leases >= column.len() as u64, "{a_stats:?}");
+    assert_eq!(b.scheduler().stats(), SchedStats::default(), "b ran nothing");
+
+    let q = &column[0];
+    assert!(run(&b, q));
+    let b_stats = b.scheduler().stats();
+    assert_eq!(b_stats.admitted, 1);
+    assert!(b_stats.leases >= 1, "{b_stats:?}");
+    assert_eq!(a.scheduler().stats(), a_stats, "b's statement must not touch a");
+
+    // A direct engine fan-out was never admitted: it leases from nobody.
+    let engine = ColumnEngine::new(tables);
+    let io = IoSession::unmetered();
+    engine
+        .try_execute_with(q, EngineConfig::FULL, par, &io, &QueryCtx::unbounded())
+        .expect("direct run");
+    assert_eq!(a.scheduler().stats(), a_stats);
+    assert_eq!(b.scheduler().stats(), b_stats);
 }
 
 proptest! {
