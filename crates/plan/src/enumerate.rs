@@ -24,7 +24,7 @@ use cvr_row::designs::RowDesign;
 
 use crate::cost::{gather, seq_scan, CostBreakdown, CostParams, WorkingSet};
 use crate::explain::{write_json_string, Explain};
-use crate::stats::{Catalog, ColumnStats, EncodingKind};
+use crate::stats::{Catalog, ColumnStats, EncodingKind, Estimates};
 
 /// Entries per B+Tree leaf page in the row engine's indexes: bulk loads
 /// fill leaves to ~2/3 of the default order (2048), and every node
@@ -261,11 +261,7 @@ impl Planner {
     /// The fact-predicate evaluation order the statistics recommend: most
     /// selective first (ties keep declaration order).
     pub fn fact_order(&self, q: &SsbQuery) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..q.fact_predicates.len()).collect();
-        let sels: Vec<f64> =
-            q.fact_predicates.iter().map(|p| self.catalog.fact_pred_selectivity(p)).collect();
-        order.sort_by(|&a, &b| sels[a].partial_cmp(&sels[b]).unwrap().then(a.cmp(&b)));
-        order
+        most_selective_first(&self.catalog.estimates(q).fact)
     }
 
     /// Row designs applicable to `q`.
@@ -299,11 +295,16 @@ impl Planner {
 
     /// Every applicable candidate, costed, cheapest first.
     pub fn candidates(&self, q: &SsbQuery) -> Vec<Candidate> {
-        let order = self.fact_order(q);
+        self.candidates_with(q, &self.catalog.estimates(q))
+    }
+
+    /// [`Planner::candidates`] over estimates already computed for `q`.
+    fn candidates_with(&self, q: &SsbQuery, e: &Estimates) -> Vec<Candidate> {
+        let order = most_selective_first(&e.fact);
         let mut out = Vec::new();
         for shape in [PlanShape::Invisible, PlanShape::LateJoin, PlanShape::Early] {
             for compressed in [true, false] {
-                let (est, mut explain, ws) = self.cost_column(q, shape, compressed, &order);
+                let (est, mut explain, ws) = self.cost_column(q, e, shape, compressed, &order);
                 // Distinct bytes, not summed charges: a page is read from
                 // the modeled disk once per run however many phases touch
                 // it.
@@ -321,7 +322,7 @@ impl Planner {
             }
         }
         for design in self.applicable_row_designs(q) {
-            let (est, mut explain, ws) = self.cost_row(q, design, &order);
+            let (est, mut explain, ws) = self.cost_row(q, e, design, &order);
             let est = CostBreakdown { io_bytes: ws.total(), ..est };
             let est = self.params.pool_adjust(est, ws.total());
             let seconds = est.seconds(&self.params);
@@ -340,7 +341,8 @@ impl Planner {
 
     /// Pick the cheapest candidate for `q`.
     pub fn plan(&self, q: &SsbQuery) -> Plan {
-        let candidates = self.candidates(q);
+        let e = self.catalog.estimates(q);
+        let candidates = self.candidates_with(q, &e);
         let ranking: Vec<(String, f64)> =
             candidates.iter().map(|c| (c.choice.label(), c.seconds)).collect();
         let best = candidates.into_iter().next().expect("search space is never empty");
@@ -350,7 +352,7 @@ impl Planner {
             fact_order: best.fact_order,
             est: best.est,
             seconds: best.seconds,
-            est_selectivity: self.estimate_selectivity(q),
+            est_selectivity: e.selectivity,
             explain: best.explain,
             ranking,
         }
@@ -430,8 +432,8 @@ impl Planner {
 
     /// The fraction of the (orderdate-sorted) fact files a query's
     /// surviving positions can span.
-    fn fact_span(&self, q: &SsbQuery) -> f64 {
-        self.catalog.dim_selectivity(q, Dim::Date).clamp(0.0, 1.0)
+    fn fact_span(e: &Estimates) -> f64 {
+        e.dim(Dim::Date).clamp(0.0, 1.0)
     }
 
     /// Phase-1 work for one restricted dimension: predicate scans over the
@@ -440,6 +442,7 @@ impl Planner {
     fn dim_phase1(
         &self,
         q: &SsbQuery,
+        e: &Estimates,
         d: Dim,
         compressed: bool,
         build_keys: bool,
@@ -453,7 +456,7 @@ impl Planner {
         }
         let contiguous = self.catalog.likely_contiguous(q, d);
         if build_keys || !contiguous {
-            let k = (self.catalog.dim_selectivity(q, d) * stats.rows as f64).ceil() as u64;
+            let k = (e.dim(d) * stats.rows as f64).ceil() as u64;
             let key = stats.column(match d {
                 Dim::Customer => "c_custkey",
                 Dim::Supplier => "s_suppkey",
@@ -473,6 +476,7 @@ impl Planner {
     fn phase3(
         &self,
         q: &SsbQuery,
+        e: &Estimates,
         k: u64,
         compressed: bool,
         ws: &mut WorkingSet,
@@ -480,7 +484,7 @@ impl Planner {
     ) -> CostBreakdown {
         let r = &self.params.rates;
         let n = self.catalog.fact_rows();
-        let span = self.fact_span(q);
+        let span = Self::fact_span(e);
         let mut c = CostBreakdown::default();
         let mut seen: Vec<Dim> = Vec::new();
         for g in &q.group_by {
@@ -547,6 +551,7 @@ impl Planner {
     fn cost_column(
         &self,
         q: &SsbQuery,
+        e: &Estimates,
         shape: PlanShape,
         compressed: bool,
         order: &[usize],
@@ -554,8 +559,7 @@ impl Planner {
         let mut ws = WorkingSet::default();
         let r = self.params.rates;
         let n = self.catalog.fact_rows();
-        let sel_total = self.catalog.selectivity(q);
-        let k_final = ((n as f64 * sel_total).ceil() as u64).min(n);
+        let k_final = ((n as f64 * e.selectivity).ceil() as u64).min(n);
         let mut explain = Explain::node(
             "column-plan",
             format!(
@@ -570,7 +574,7 @@ impl Planner {
         match shape {
             PlanShape::Invisible => {
                 for d in q.restricted_dims() {
-                    let (dc, contiguous) = self.dim_phase1(q, d, compressed, false, &mut ws);
+                    let (dc, contiguous) = self.dim_phase1(q, e, d, compressed, false, &mut ws);
                     c.add(dc);
                     let fk = self.catalog.fact.column(d.fact_fk_column());
                     let probe = if contiguous {
@@ -578,7 +582,7 @@ impl Planner {
                     } else {
                         self.scan_col_hash_probe(fk, compressed, &mut ws)
                     };
-                    let d_sel = self.catalog.dim_selectivity(q, d);
+                    let d_sel = e.dim(d);
                     explain.push(
                         Explain::node(
                             "probe",
@@ -599,7 +603,7 @@ impl Planner {
                 for &i in order {
                     let p = &q.fact_predicates[i];
                     let col = self.catalog.fact.column(p.column);
-                    let sel = self.catalog.fact_pred_selectivity(p);
+                    let sel = e.fact[i];
                     let sc = self.scan_col(col, compressed, &mut ws);
                     explain.push(
                         Explain::node("scan", format!("{} sel {sel:.2e}", p.column))
@@ -608,7 +612,7 @@ impl Planner {
                     );
                     c.add(sc);
                 }
-                let p3 = self.phase3(q, k_final, compressed, &mut ws, &mut explain);
+                let p3 = self.phase3(q, e, k_final, compressed, &mut ws, &mut explain);
                 c.add(p3);
             }
             PlanShape::LateJoin => {
@@ -620,7 +624,7 @@ impl Planner {
                 for &i in order {
                     let p = &q.fact_predicates[i];
                     let sc = self.scan_col(self.catalog.fact.column(p.column), compressed, &mut ws);
-                    running *= self.catalog.fact_pred_selectivity(p);
+                    running *= e.fact[i];
                     poslist_positions += running;
                     explain.push(
                         Explain::node("scan", p.column)
@@ -632,21 +636,16 @@ impl Planner {
                 // Restricted dims, most selective first (the engine's own
                 // order).
                 let mut dims = q.restricted_dims();
-                dims.sort_by(|&a, &b| {
-                    self.catalog
-                        .dim_selectivity(q, a)
-                        .partial_cmp(&self.catalog.dim_selectivity(q, b))
-                        .unwrap()
-                });
+                dims.sort_by(|&a, &b| e.dim(a).partial_cmp(&e.dim(b)).unwrap());
                 let mut first = q.fact_predicates.is_empty();
-                let span = self.fact_span(q);
+                let span = Self::fact_span(e);
                 for d in dims {
                     // The late join always materializes the matching keys
                     // to build its hash table, contiguous or not.
-                    let (dc, _) = self.dim_phase1(q, d, compressed, true, &mut ws);
+                    let (dc, _) = self.dim_phase1(q, e, d, compressed, true, &mut ws);
                     c.add(dc);
                     let dstats = self.catalog.dim(d);
-                    let k_d = (self.catalog.dim_selectivity(q, d) * dstats.rows as f64).ceil();
+                    let k_d = (e.dim(d) * dstats.rows as f64).ceil();
                     c.cpu_seconds += k_d * r.hash_probe; // build side
                     let fk = self.catalog.fact.column(d.fact_fk_column());
                     if first {
@@ -663,14 +662,14 @@ impl Planner {
                         ));
                         c.cpu_seconds += running * r.hash_probe;
                     }
-                    running *= self.catalog.dim_selectivity(q, d);
+                    running *= e.dim(d);
                     poslist_positions += running;
                     explain.push(
                         Explain::node("hash-join", d.fact_fk_column()).rows(running.ceil() as u64),
                     );
                 }
                 c.cpu_seconds += poslist_positions * r.poslist_touch;
-                let p3 = self.phase3(q, k_final, compressed, &mut ws, &mut explain);
+                let p3 = self.phase3(q, e, k_final, compressed, &mut ws, &mut explain);
                 c.add(p3);
             }
             PlanShape::Early => {
@@ -734,6 +733,7 @@ impl Planner {
     fn cost_row(
         &self,
         q: &SsbQuery,
+        e: &Estimates,
         design: RowDesign,
         order: &[usize],
     ) -> (CostBreakdown, Explain, WorkingSet) {
@@ -741,10 +741,8 @@ impl Planner {
         let r = self.params.rates;
         let n = self.catalog.fact_rows();
         let sizes = &self.catalog.row_sizes;
-        let sel_total = self.catalog.selectivity(q);
-        let k_final = ((n as f64 * sel_total).ceil() as u64).min(n);
-        let fact_sel: f64 =
-            q.fact_predicates.iter().map(|p| self.catalog.fact_pred_selectivity(p)).product();
+        let k_final = ((n as f64 * e.selectivity).ceil() as u64).min(n);
+        let fact_sel: f64 = e.fact.iter().product();
         let mut explain =
             Explain::node("row-plan", format!("{} ({})", design.label(), design_name(design)))
                 .rows(k_final);
@@ -758,12 +756,7 @@ impl Planner {
                          start_rows: f64,
                          skip: &[Dim]| {
             let mut dims = q.touched_dims();
-            dims.sort_by(|&a, &b| {
-                self.catalog
-                    .dim_selectivity(q, a)
-                    .partial_cmp(&self.catalog.dim_selectivity(q, b))
-                    .unwrap()
-            });
+            dims.sort_by(|&a, &b| e.dim(a).partial_cmp(&e.dim(b)).unwrap());
             let mut running = start_rows;
             for d in dims {
                 // A dim already applied through a bitmap and
@@ -777,7 +770,7 @@ impl Planner {
                 c.add(seq_scan(sizes.dim_heap_bytes[&d]));
                 c.cpu_seconds += dstats.rows as f64 * r.row_tuple;
                 c.cpu_seconds += running * r.row_join_probe;
-                running *= self.catalog.dim_selectivity(q, d);
+                running *= e.dim(d);
                 explain
                     .push(Explain::node("hash-join", d.table_name()).rows(running.ceil() as u64));
             }
@@ -786,7 +779,8 @@ impl Planner {
 
         match design {
             RowDesign::Traditional | RowDesign::MaterializedViews => {
-                let yf = self.catalog.year_fraction(q);
+                let partitions = self.catalog.year_partitions();
+                let yf = e.years.len() as f64 / partitions as f64;
                 // Per-tuple parse cost scales with tuple arity: a narrow
                 // per-flight view row decodes a handful of fields, not 17.
                 let (heap, width) = if design == RowDesign::Traditional {
@@ -799,16 +793,18 @@ impl Planner {
                 ws.touch("heap:fact", bytes);
                 c.add(seq_scan(bytes));
                 // Extra partitions beyond the first (seq_scan charged one).
-                c.seeks += ((7.0 * yf).ceil() as u64).saturating_sub(1);
+                c.seeks += (e.years.len() as u64).saturating_sub(1);
                 let scanned = n as f64 * yf;
                 c.cpu_seconds += scanned * r.row_tuple * width;
                 explain.push(
                     Explain::node(
                         "seq-scan",
                         format!(
-                            "{:.1} MB ({} of the year partitions)",
+                            "{:.1} MB ({} of {} year partitions: {})",
                             bytes as f64 / (1024.0 * 1024.0),
-                            (7.0 * yf).ceil()
+                            e.years.len(),
+                            partitions,
+                            year_list(&e.years)
                         ),
                     )
                     .rows(scanned.ceil() as u64)
@@ -824,10 +820,10 @@ impl Planner {
                 // bitmap and filters tuples only after the fetch.
                 let mut indexed_fact_sel = 1.0;
                 let mut post_sel = 1.0;
-                let date_sel = self.catalog.dim_selectivity(q, Dim::Date);
+                let date_sel = e.dim(Dim::Date);
                 for &i in order {
                     let p = &q.fact_predicates[i];
-                    let psel = self.catalog.fact_pred_selectivity(p);
+                    let psel = e.fact[i];
                     if !cvr_row::designs::traditional::BITMAP_COLUMNS.contains(&p.column) {
                         post_sel *= psel;
                         continue;
@@ -885,7 +881,7 @@ impl Planner {
                     if d == Dim::Date {
                         continue;
                     }
-                    let dsel = self.catalog.dim_selectivity(q, d);
+                    let dsel = e.dim(d);
                     if dsel >= 1.0 {
                         continue;
                     }
@@ -997,9 +993,8 @@ impl Planner {
                     let pred_sel = q
                         .fact_predicates
                         .iter()
-                        .find(|p| p.column == *col)
-                        .map(|p| self.catalog.fact_pred_selectivity(p))
-                        .unwrap_or(1.0);
+                        .position(|p| p.column == *col)
+                        .map_or(1.0, |i| e.fact[i]);
                     let entries = n as f64 * pred_sel;
                     ws.touch(&format!("idx:{col}"), (entries * 20.0) as u64);
                     c.add(seq_scan((entries * 20.0) as u64));
@@ -1022,6 +1017,34 @@ impl Planner {
             }
         }
         (c, explain, ws)
+    }
+}
+
+/// Fact-predicate indices ordered by ascending selectivity (ties keep
+/// declaration order).
+fn most_selective_first(sels: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..sels.len()).collect();
+    order.sort_by(|&a, &b| sels[a].partial_cmp(&sels[b]).unwrap().then(a.cmp(&b)));
+    order
+}
+
+/// Partition years for explain output, consecutive runs collapsed
+/// (`1992-1994, 1997`; `none` when empty).
+fn year_list(years: &[i64]) -> String {
+    let mut runs: Vec<String> = Vec::new();
+    let mut i = 0;
+    while i < years.len() {
+        let mut j = i;
+        while j + 1 < years.len() && years[j + 1] == years[j] + 1 {
+            j += 1;
+        }
+        runs.push(if i == j { years[i].to_string() } else { format!("{}-{}", years[i], years[j]) });
+        i = j + 1;
+    }
+    if runs.is_empty() {
+        "none".to_string()
+    } else {
+        runs.join(", ")
     }
 }
 
@@ -1078,16 +1101,23 @@ mod tests {
     use super::*;
     use cvr_core::ColumnEngine;
     use cvr_data::gen::SsbConfig;
+    use cvr_data::gen::SsbTables;
     use cvr_data::queries::{all_queries, query};
     use cvr_data::workload::WorkloadConfig;
+    use cvr_row::designs::common::qualifying_years;
     use std::sync::Arc;
 
-    fn planner() -> &'static Planner {
-        static P: std::sync::OnceLock<Planner> = std::sync::OnceLock::new();
+    fn fixture() -> &'static (Arc<SsbTables>, Planner) {
+        static P: std::sync::OnceLock<(Arc<SsbTables>, Planner)> = std::sync::OnceLock::new();
         P.get_or_init(|| {
             let tables = Arc::new(SsbConfig { sf: 0.01, seed: 21 }.generate());
-            Planner::new(Catalog::build(&ColumnEngine::new(tables)))
+            let planner = Planner::new(Catalog::build(&ColumnEngine::new(tables.clone())));
+            (tables, planner)
         })
+    }
+
+    fn planner() -> &'static Planner {
+        &fixture().1
     }
 
     #[test]
@@ -1153,6 +1183,49 @@ mod tests {
             let rendered = plan.render();
             assert!(rendered.contains("candidates"), "{rendered}");
         }
+    }
+
+    #[test]
+    fn seq_scans_are_priced_at_the_partitions_the_executor_scans() {
+        let (tables, p) = fixture();
+        let mut queries = all_queries();
+        for seed in [0xAD_0C, 7] {
+            queries.extend(WorkloadConfig { seed, count: 150 }.generate());
+        }
+        let mut checked = 0;
+        for q in &queries {
+            let scanned = qualifying_years(tables, q).map_or(7, |years| years.len());
+            for c in p.candidates(q) {
+                if !matches!(
+                    c.choice,
+                    PhysicalChoice::Row(RowDesign::Traditional | RowDesign::MaterializedViews)
+                ) {
+                    continue;
+                }
+                let scan = c.explain.children.iter().find(|n| n.op == "seq-scan").unwrap();
+                // "<size> MB (<partitions> of 7 year partitions: <years>)"
+                let priced = scan.detail.split_once("MB (").and_then(|(_, r)| r.split(' ').next());
+                let priced: usize = priced.unwrap().parse().unwrap();
+                assert_eq!(priced, scanned, "{} {}: {}", q.id, c.choice.label(), scan.detail);
+                checked += 1;
+            }
+        }
+        assert!(checked >= 300, "only {checked} partitioned scans checked");
+    }
+
+    #[test]
+    fn seq_scan_detail_names_the_years() {
+        let p = planner();
+        let scan_detail = |q: &SsbQuery| {
+            let c = p.candidates(q);
+            let t = c.iter().find(|c| c.choice == PhysicalChoice::Row(RowDesign::Traditional));
+            t.unwrap().explain.children[0].detail.clone()
+        };
+        assert!(scan_detail(&query(1, 1)).ends_with("(1 of 7 year partitions: 1993)"));
+        assert!(scan_detail(&query(3, 1)).ends_with("(6 of 7 year partitions: 1992-1997)"));
+        assert!(scan_detail(&query(2, 1)).ends_with("(7 of 7 year partitions: 1992-1998)"));
+        assert_eq!(year_list(&[1992, 1994, 1995, 1998]), "1992, 1994-1995, 1998");
+        assert_eq!(year_list(&[]), "none");
     }
 
     #[test]

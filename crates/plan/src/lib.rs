@@ -51,4 +51,4 @@ pub mod stats;
 pub use cost::{CostBreakdown, CostParams, CpuRates};
 pub use enumerate::{Candidate, PhysicalChoice, Plan, PlanShape, Planner};
 pub use explain::Explain;
-pub use stats::{Catalog, ColumnStats, EncodingKind, Histogram, TableStats};
+pub use stats::{Catalog, ColumnStats, EncodingKind, Estimates, Histogram, TableStats};

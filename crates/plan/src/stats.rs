@@ -29,6 +29,7 @@ use cvr_data::queries::{FactPredicate, Pred, SsbQuery};
 use cvr_data::schema::Dim;
 use cvr_data::table::{ColumnData, TableData};
 use cvr_data::value::Value;
+use cvr_row::designs::common::matching_years;
 use cvr_storage::encode::{Column, IntColumn, StrColumn};
 use cvr_storage::rowcodec::encoded_size;
 use cvr_storage::StoredColumn;
@@ -243,11 +244,8 @@ impl ColumnStats {
         }
         if let Some(freqs) = &self.str_freqs {
             // Exact arithmetic over the frequency table.
-            let matched: u64 = freqs
-                .iter()
-                .filter(|(v, _)| pred.matches(&Value::Str(v.clone())))
-                .map(|(_, c)| c)
-                .sum();
+            let matched: u64 =
+                freqs.iter().filter(|(v, _)| pred.matches_str(v)).map(|(_, c)| c).sum();
             return matched as f64 / self.rows as f64;
         }
         match pred {
@@ -371,9 +369,36 @@ pub struct Catalog {
     dims: HashMap<Dim, TableStats>,
     /// Row-design size estimates.
     pub row_sizes: RowSizes,
-    /// Fraction of DATE rows per calendar year, for partition pruning
-    /// estimates (year → fraction).
-    year_fractions: Vec<(i64, f64)>,
+    /// The whole DATE dimension (2,556 rows at every scale factor), kept
+    /// to find the `orderdate` partitions a date filter selects.
+    date: TableData,
+    /// The distinct DATE years, ascending: one LINEORDER partition each.
+    years: Vec<i64>,
+}
+
+/// Every estimate the costing of one statement reads, computed once per
+/// [`crate::Planner::plan`] call rather than once per candidate and join
+/// step.
+#[derive(Debug, Clone)]
+pub struct Estimates {
+    /// Selectivity of each dimension's predicates, indexed like
+    /// [`Dim::ALL`].
+    dims: [f64; 4],
+    /// Selectivity of each fact predicate, in declaration order.
+    pub fact: Vec<f64>,
+    /// Estimated LINEORDER selectivity ([`Catalog::selectivity`]).
+    pub selectivity: f64,
+    /// The `orderdate` partitions (years) a partitioned scan reads
+    /// ([`Catalog::qualifying_years`]).
+    pub years: Vec<i64>,
+}
+
+impl Estimates {
+    /// Estimated fraction of dimension `d`'s rows matching the query's
+    /// predicates on it ([`Catalog::dim_selectivity`]).
+    pub fn dim(&self, d: Dim) -> f64 {
+        self.dims[d as usize]
+    }
 }
 
 impl Catalog {
@@ -413,23 +438,28 @@ impl Catalog {
                 (mean * tables.lineorder.num_rows() as f64) as u64;
         }
 
-        // Per-year DATE fractions for partition pruning estimates.
-        let years = tables.date.column("d_year").ints();
-        let mut counts: HashMap<i64, u64> = HashMap::new();
-        for &y in years {
-            *counts.entry(y).or_default() += 1;
-        }
-        let total = years.len() as f64;
-        let mut year_fractions: Vec<(i64, f64)> =
-            counts.into_iter().map(|(y, c)| (y, c as f64 / total)).collect();
-        year_fractions.sort_unstable_by_key(|&(y, _)| y);
+        // The DATE rows and their years, for partition pruning estimates.
+        let date = tables.date.clone();
+        let mut years = date.column("d_year").ints().to_vec();
+        years.sort_unstable();
+        years.dedup();
 
         Catalog {
             fact,
             dims,
             row_sizes: RowSizes { fact_heap_bytes, dim_heap_bytes, mv_view_bytes, fact_row_bytes },
-            year_fractions,
+            date,
+            years,
         }
+    }
+
+    /// Every estimate costing `q` needs, computed once.
+    pub fn estimates(&self, q: &SsbQuery) -> Estimates {
+        let dims = Dim::ALL.map(|d| self.dim_selectivity(q, d));
+        let fact: Vec<f64> =
+            q.fact_predicates.iter().map(|p| self.fact_pred_selectivity(p)).collect();
+        let selectivity = dims.iter().product::<f64>() * fact.iter().product::<f64>();
+        Estimates { dims, fact, selectivity, years: self.qualifying_years(q) }
     }
 
     /// Statistics of dimension `d`.
@@ -462,9 +492,7 @@ impl Catalog {
     /// directly, independence across all of them — the Section 3
     /// arithmetic, but driven by histograms over the generated data.
     pub fn selectivity(&self, q: &SsbQuery) -> f64 {
-        let dims: f64 = Dim::ALL.iter().map(|&d| self.dim_selectivity(q, d)).product();
-        let facts: f64 = q.fact_predicates.iter().map(|p| self.fact_pred_selectivity(p)).product();
-        dims * facts
+        self.estimates(q).selectivity
     }
 
     /// Whether `q`'s estimate rests on enough data to be statistically
@@ -480,20 +508,29 @@ impl Catalog {
             .all(|&d| self.dim_selectivity(q, d) * self.dim(d).rows as f64 >= 8.0)
     }
 
-    /// Estimated fraction of `orderdate` partitions (years) a traditional
-    /// scan must touch: 1.0 without a DATE restriction, else the estimated
-    /// share of DATE rows matching the date predicates, rounded *up* to
-    /// whole years (a partition is scanned entirely if any of its days
-    /// qualify).
-    pub fn year_fraction(&self, q: &SsbQuery) -> f64 {
-        let sel = self.dim_selectivity(q, Dim::Date);
-        if sel >= 1.0 {
-            return 1.0;
+    /// The `orderdate` partitions (years) a partitioned row scan of `q`
+    /// reads, ascending: every year when DATE is unrestricted, else the
+    /// years with at least one DATE row matching all date predicates — the
+    /// row executor's pruning rule (`matching_years`). A year with a
+    /// single matching day still costs its whole partition, and a
+    /// conjunction no day satisfies costs none.
+    pub fn qualifying_years(&self, q: &SsbQuery) -> Vec<i64> {
+        let preds = q.dim_predicates_on(Dim::Date);
+        if preds.is_empty() {
+            return self.years.clone();
         }
-        // A restriction selecting fraction `sel` of days touches at least
-        // ⌈sel × years⌉ partitions; clamp to one partition minimum.
-        let years = self.year_fractions.len() as f64;
-        ((sel * years).ceil() / years).clamp(1.0 / years, 1.0)
+        matching_years(&self.date, &preds)
+    }
+
+    /// Fraction of `orderdate` partitions a partitioned row scan of `q`
+    /// reads ([`Catalog::qualifying_years`] over all years).
+    pub fn year_fraction(&self, q: &SsbQuery) -> f64 {
+        self.qualifying_years(q).len() as f64 / self.years.len() as f64
+    }
+
+    /// Number of `orderdate` partitions (distinct DATE years).
+    pub fn year_partitions(&self) -> usize {
+        self.years.len()
     }
 
     /// Whether `q`'s predicates on `d` are *likely* rewritable to a
@@ -524,16 +561,22 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cvr_data::gen::SsbConfig;
-    use cvr_data::queries::{all_queries, query};
+    use cvr_data::gen::{SsbConfig, SsbTables};
+    use cvr_data::queries::{all_queries, query, DimPredicate};
+    use cvr_row::designs::common::qualifying_years;
     use std::sync::Arc;
 
-    fn catalog() -> &'static Catalog {
-        static CAT: std::sync::OnceLock<Catalog> = std::sync::OnceLock::new();
+    fn fixture() -> &'static (Arc<SsbTables>, Catalog) {
+        static CAT: std::sync::OnceLock<(Arc<SsbTables>, Catalog)> = std::sync::OnceLock::new();
         CAT.get_or_init(|| {
             let tables = Arc::new(SsbConfig { sf: 0.05, seed: 7 }.generate());
-            Catalog::build(&ColumnEngine::new(tables))
+            let catalog = Catalog::build(&ColumnEngine::new(tables.clone()));
+            (tables, catalog)
         })
+    }
+
+    fn catalog() -> &'static Catalog {
+        &fixture().1
     }
 
     #[test]
@@ -604,15 +647,60 @@ mod tests {
         assert!(supported >= 8, "only {supported}/13 queries statistically checkable");
     }
 
+    /// Q1.1 with its date restriction replaced by `preds`.
+    fn date_filtered(preds: Vec<(&'static str, Pred)>) -> SsbQuery {
+        let mut q = query(1, 1);
+        q.dim_predicates.retain(|p| p.dim != Dim::Date);
+        for (column, pred) in preds {
+            q.dim_predicates.push(DimPredicate { dim: Dim::Date, column, pred });
+        }
+        q
+    }
+
     #[test]
     fn year_fraction_prunes_partitions() {
-        let cat = catalog();
-        let f11 = cat.year_fraction(&query(1, 1)); // d_year = 1993
-        assert!(f11 < 0.2, "one of seven years, got {f11}");
-        let f21 = cat.year_fraction(&query(2, 1)); // no date restriction
-        assert_eq!(f21, 1.0);
-        let f31 = cat.year_fraction(&query(3, 1)); // 6 of 7 years
-        assert!(f31 > 0.75 && f31 <= 1.0, "six of seven years, got {f31}");
+        // Each case's fraction must be the executor's partition count
+        // over seven years.
+        let (tables, cat) = fixture();
+        let int = |v| Pred::Eq(Value::Int(v));
+        let cases = [
+            (query(1, 1), 1), // d_year = 1993
+            (query(2, 1), 7), // no date restriction
+            (query(3, 1), 6), // d_year 1992-1997
+            (query(4, 2), 2), // d_year IN (1997, 1998)
+            (date_filtered(vec![("d_monthnuminyear", int(10))]), 7),
+            (date_filtered(vec![("d_weeknuminyear", int(53))]), 7),
+            (date_filtered(vec![("d_sellingseason", Pred::Eq(Value::str("Christmas")))]), 7),
+            (date_filtered(vec![("d_yearmonth", Pred::Eq(Value::str("Dec1997")))]), 1),
+            (date_filtered(vec![("d_year", int(1992))]), 1),
+            (date_filtered(vec![("d_year", int(1900))]), 0),
+            (date_filtered(vec![("d_year", int(1993)), ("d_yearmonthnum", int(199512))]), 0),
+        ];
+        for (q, partitions) in cases {
+            let scanned = qualifying_years(tables, &q).map_or(7, |years| years.len());
+            assert_eq!(scanned, partitions, "{:?}", q.dim_predicates);
+            assert_eq!(cat.year_fraction(&q), partitions as f64 / 7.0, "{:?}", q.dim_predicates);
+        }
+        assert_eq!(cat.qualifying_years(&query(2, 1)), (1992..=1998).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn string_estimates_equal_a_brute_force_count() {
+        let (tables, cat) = fixture();
+        let brands = tables.part.column("p_brand1").strs();
+        let stats = cat.dim(Dim::Part).column("p_brand1");
+        let s = Value::str;
+        for pred in [
+            Pred::Eq(s("MFGR#2221")),
+            Pred::Eq(s("MFGR#9999")),
+            Pred::InSet(vec![s("MFGR#1101"), s("MFGR#3340"), s("nope")]),
+            Pred::Between(s("MFGR#2221"), s("MFGR#2228")),
+            Pred::Lt(s("MFGR#15")),
+        ] {
+            let matched = brands.iter().filter(|b| pred.matches_str(b)).count();
+            let exact = matched as f64 / brands.len() as f64;
+            assert_eq!(stats.estimate(&pred), exact, "{pred:?}");
+        }
     }
 
     #[test]

@@ -2,10 +2,10 @@
 
 use crate::ops::{drain, BoxedOp, HashAgg};
 use cvr_data::gen::SsbTables;
-use cvr_data::queries::{Pred, SsbQuery};
+use cvr_data::queries::{DimPredicate, Pred, SsbQuery};
 use cvr_data::result::QueryOutput;
 use cvr_data::schema::Dim;
-use cvr_data::table::ColumnData;
+use cvr_data::table::{ColumnData, TableData};
 
 /// Fraction of dimension rows matching the query's predicates on `dim`
 /// (an "optimizer statistic": computed from catalog data, charging no I/O).
@@ -45,15 +45,35 @@ pub fn dim_matching_keys(tables: &SsbTables, q: &SsbQuery, dim: Dim) -> Vec<i64>
 /// partitions). Derived from the DATE dimension like a partition-pruning
 /// optimizer would from its catalog.
 pub fn qualifying_years(tables: &SsbTables, q: &SsbQuery) -> Option<Vec<i64>> {
-    if q.dim_predicates_on(Dim::Date).is_empty() {
+    let preds = q.dim_predicates_on(Dim::Date);
+    if preds.is_empty() {
         return None;
     }
-    let years = tables.date.column("d_year").ints();
-    let mut out: Vec<i64> =
-        dim_matching_rows(tables, q, Dim::Date).iter().map(|&r| years[r as usize]).collect();
+    Some(matching_years(&tables.date, &preds))
+}
+
+/// The distinct `d_year`s, ascending, of the `date` rows satisfying all of
+/// `preds` — the partition-pruning rule, shared with the planner's
+/// estimate of it.
+pub fn matching_years(date: &TableData, preds: &[&DimPredicate]) -> Vec<i64> {
+    let cols: Vec<(&ColumnData, &Pred)> =
+        preds.iter().map(|p| (date.column(p.column), &p.pred)).collect();
+    let mut out: Vec<i64> = Vec::new();
+    for (row, &year) in date.column("d_year").ints().iter().enumerate() {
+        // DATE ascends by day, so a year already found is usually the
+        // last one pushed: skip the rest of its days.
+        if out.last() != Some(&year)
+            && cols.iter().all(|(col, pred)| match col {
+                ColumnData::Int(v) => pred.matches_int(v[row]),
+                ColumnData::Str(v) => pred.matches_str(&v[row]),
+            })
+        {
+            out.push(year);
+        }
+    }
     out.sort_unstable();
     out.dedup();
-    Some(out)
+    out
 }
 
 /// Group-by column names of `q`, in declaration order (e.g. `d_year`).

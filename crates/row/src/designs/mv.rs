@@ -18,6 +18,7 @@ use crate::designs::common::{
     aggregate_and_finish, dim_needed_columns, int_col, join_order, qualifying_years,
 };
 use crate::ops::{BoxedOp, ChainOp, HashJoin, SeqScan};
+use crate::tuple::OpSchema;
 use cvr_data::gen::SsbTables;
 use cvr_data::queries::{all_queries, SsbQuery};
 use cvr_data::result::QueryOutput;
@@ -98,6 +99,7 @@ impl MvDb {
             None => view.heap.all(),
         };
         let mut pipeline: BoxedOp<'_> = Box::new(ChainOp::new(
+            OpSchema::new(needed.iter().copied()),
             heaps.into_iter().map(|h| make(h, &view.columns, &needed, q, io)).collect(),
         ));
         for dim in join_order(&self.tables, q) {

@@ -18,6 +18,7 @@ use crate::designs::common::{
 use crate::ops::{
     range_scan_pred, BitmapFetch, BoxedOp, ChainOp, Filter, HashAgg, HashJoin, SeqScan,
 };
+use crate::tuple::OpSchema;
 use cvr_data::gen::SsbTables;
 use cvr_data::queries::SsbQuery;
 use cvr_data::result::QueryOutput;
@@ -129,7 +130,8 @@ impl TraditionalDb {
                     Some(years) => parts.select(move |y| years.contains(&y)),
                     None => parts.all(),
                 };
-                Box::new(ChainOp::new(heaps.into_iter().map(make).collect()))
+                let schema = OpSchema::new(needed.iter().copied());
+                Box::new(ChainOp::new(schema, heaps.into_iter().map(make).collect()))
             }
             None => make(self.fact_whole.as_ref().expect("unpartitioned heap")),
         }

@@ -123,6 +123,8 @@ impl RowOp for SeqScan<'_> {
 // ------------------------------------------------------------- ChainOp
 
 /// Concatenate several operators with identical schemas (partition scans).
+/// No parts make an empty stream: a pruned scan with no qualifying
+/// partition.
 pub struct ChainOp<'a> {
     parts: Vec<BoxedOp<'a>>,
     current: usize,
@@ -130,10 +132,8 @@ pub struct ChainOp<'a> {
 }
 
 impl<'a> ChainOp<'a> {
-    /// Chain `parts` (must be non-empty and schema-identical).
-    pub fn new(parts: Vec<BoxedOp<'a>>) -> ChainOp<'a> {
-        assert!(!parts.is_empty(), "empty chain");
-        let schema = parts[0].schema().clone();
+    /// Chain `parts`, each of which must produce `schema`.
+    pub fn new(schema: OpSchema, parts: Vec<BoxedOp<'a>>) -> ChainOp<'a> {
         for p in &parts {
             assert_eq!(p.schema(), &schema, "chained operators must agree on schema");
         }

@@ -116,8 +116,15 @@ fn hash_agg_custom_term() {
 fn chain_concatenates_in_order() {
     let a = vals(&["x"], vec![vec![1], vec![2]]);
     let b = vals(&["x"], vec![vec![3]]);
-    let c = ChainOp::new(vec![a, b]);
+    let c = ChainOp::new(OpSchema::new(["x"]), vec![a, b]);
     assert_eq!(ints(Box::new(c)), vec![vec![1], vec![2], vec![3]]);
+}
+
+#[test]
+fn chain_of_no_parts_is_an_empty_stream() {
+    let c = ChainOp::new(OpSchema::new(["x"]), Vec::new());
+    assert_eq!(c.schema(), &OpSchema::new(["x"]));
+    assert!(ints(Box::new(c)).is_empty());
 }
 
 #[test]
@@ -125,7 +132,7 @@ fn chain_concatenates_in_order() {
 fn chain_rejects_mismatched_schemas() {
     let a = vals(&["x"], vec![]);
     let b = vals(&["y"], vec![]);
-    ChainOp::new(vec![a, b]);
+    ChainOp::new(OpSchema::new(["x"]), vec![a, b]);
 }
 
 #[test]

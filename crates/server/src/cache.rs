@@ -15,8 +15,10 @@
 //!
 //! Memory is bounded by a byte budget covering both tiers; eviction is LRU
 //! by a monotonic touch stamp across the union of entries, and an entry
-//! larger than the whole budget is simply not admitted. All counters are
-//! monotonic and readable without the entry lock ([`QueryCache::stats`]).
+//! larger than the whole budget is simply not admitted. A stamp-ordered
+//! index over both tiers makes each eviction O(log n) under the lock.
+//! All counters are monotonic and readable without the entry lock
+//! ([`QueryCache::stats`]).
 //!
 //! Determinism: a hit never changes a single reply byte — the differential
 //! harness pins `{cold, warm, concurrent}` executions to one serial cold
@@ -24,7 +26,7 @@
 
 use crate::session::RowsResponse;
 use cvr_core::FilterCapture;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -56,11 +58,21 @@ struct Entry<T> {
     stamp: u64,
 }
 
+/// Which map an LRU index slot points into.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Tier {
+    Result,
+    Filter,
+}
+
 /// Entry maps and the shared footprint/clock, under one lock.
 #[derive(Default)]
 struct Inner {
     results: HashMap<String, Entry<RowsResponse>>,
     filters: HashMap<String, Entry<Arc<FilterCapture>>>,
+    /// Every live entry of both tiers by its touch stamp (stamps are
+    /// unique): the first slot is the least recently touched.
+    lru: BTreeMap<u64, (Tier, String)>,
     bytes: usize,
     tick: u64,
 }
@@ -71,31 +83,23 @@ impl Inner {
         self.tick
     }
 
+    /// Move the LRU slot at `old` to `new` (a hit).
+    fn retouch(&mut self, old: u64, new: u64) {
+        let slot = self.lru.remove(&old).expect("every entry has an LRU slot");
+        self.lru.insert(new, slot);
+    }
+
     /// Evict least-recently-touched entries (across both tiers) until the
     /// footprint fits `budget`. Returns how many entries were evicted.
     fn evict_to(&mut self, budget: usize) -> u64 {
         let mut evicted = 0;
         while self.bytes > budget {
-            let oldest_result = self.results.iter().min_by_key(|(_, e)| e.stamp);
-            let oldest_filter = self.filters.iter().min_by_key(|(_, e)| e.stamp);
-            let victim = match (oldest_result, oldest_filter) {
-                (Some((k, r)), Some((fk, f))) => {
-                    if r.stamp <= f.stamp {
-                        (true, k.clone())
-                    } else {
-                        (false, fk.clone())
-                    }
-                }
-                (Some((k, _)), None) => (true, k.clone()),
-                (None, Some((fk, _))) => (false, fk.clone()),
-                (None, None) => break,
+            let Some((_, (tier, key))) = self.lru.pop_first() else { break };
+            let freed = match tier {
+                Tier::Result => self.results.remove(&key).map(|e| e.bytes),
+                Tier::Filter => self.filters.remove(&key).map(|e| e.bytes),
             };
-            let freed = if victim.0 {
-                self.results.remove(&victim.1).map(|e| e.bytes)
-            } else {
-                self.filters.remove(&victim.1).map(|e| e.bytes)
-            };
-            self.bytes = self.bytes.saturating_sub(freed.unwrap_or(0));
+            self.bytes -= freed.expect("every LRU slot has an entry");
             evicted += 1;
         }
         evicted
@@ -143,10 +147,12 @@ impl QueryCache {
         let stamp = inner.next_stamp();
         match inner.results.get_mut(key) {
             Some(e) => {
-                e.stamp = stamp;
+                let old = std::mem::replace(&mut e.stamp, stamp);
+                let value = e.value.clone();
+                inner.retouch(old, stamp);
                 self.result_hits.fetch_add(1, Ordering::Relaxed);
                 cvr_obs::counter("cvr_cache_hits_total{tier=\"result\"}", "Cache hits").inc();
-                Some(e.value.clone())
+                Some(value)
             }
             None => {
                 self.result_misses.fetch_add(1, Ordering::Relaxed);
@@ -159,15 +165,11 @@ impl QueryCache {
     /// Store a completed result under `key`.
     pub fn put_result(&self, key: String, value: &RowsResponse) {
         let bytes = result_bytes(value);
-        self.put(
-            |inner, stamp| {
-                let mut value = value.clone();
-                value.cached = false;
-                inner.bytes += bytes;
-                inner.results.insert(key, Entry { value, bytes, stamp });
-            },
-            bytes,
-        );
+        self.put(Tier::Result, key, bytes, |inner, key, stamp| {
+            let mut value = value.clone();
+            value.cached = false;
+            inner.results.insert(key, Entry { value, bytes, stamp }).map(|e| (e.stamp, e.bytes))
+        });
     }
 
     /// Look up a filter intermediate; counts a hit or miss and refreshes
@@ -177,10 +179,12 @@ impl QueryCache {
         let stamp = inner.next_stamp();
         match inner.filters.get_mut(key) {
             Some(e) => {
-                e.stamp = stamp;
+                let old = std::mem::replace(&mut e.stamp, stamp);
+                let value = e.value.clone();
+                inner.retouch(old, stamp);
                 self.filter_hits.fetch_add(1, Ordering::Relaxed);
                 cvr_obs::counter("cvr_cache_hits_total{tier=\"filter\"}", "Cache hits").inc();
-                Some(e.value.clone())
+                Some(value)
             }
             None => {
                 self.filter_misses.fetch_add(1, Ordering::Relaxed);
@@ -193,13 +197,9 @@ impl QueryCache {
     /// Store a filter intermediate under `key`.
     pub fn put_filter(&self, key: String, value: Arc<FilterCapture>) {
         let bytes = value.approx_bytes();
-        self.put(
-            |inner, stamp| {
-                inner.bytes += bytes;
-                inner.filters.insert(key, Entry { value, bytes, stamp });
-            },
-            bytes,
-        );
+        self.put(Tier::Filter, key, bytes, |inner, key, stamp| {
+            inner.filters.insert(key, Entry { value, bytes, stamp }).map(|e| (e.stamp, e.bytes))
+        });
     }
 
     /// Presence check without touching counters or LRU stamps (`EXPLAIN`).
@@ -208,13 +208,26 @@ impl QueryCache {
         (inner.results.contains_key(result_key), inner.filters.contains_key(filter_key))
     }
 
-    fn put(&self, insert: impl FnOnce(&mut Inner, u64), bytes: usize) {
+    /// Insert through `insert` (which returns the stamp and bytes of the
+    /// entry it replaced, if any), index the entry, then evict to budget.
+    fn put(
+        &self,
+        tier: Tier,
+        key: String,
+        bytes: usize,
+        insert: impl FnOnce(&mut Inner, String, u64) -> Option<(u64, usize)>,
+    ) {
         if bytes > self.budget {
             return; // would evict the entire cache and still not fit
         }
         let mut inner = self.lock();
         let stamp = inner.next_stamp();
-        insert(&mut inner, stamp);
+        if let Some((old_stamp, old_bytes)) = insert(&mut inner, key.clone(), stamp) {
+            inner.lru.remove(&old_stamp);
+            inner.bytes -= old_bytes;
+        }
+        inner.lru.insert(stamp, (tier, key));
+        inner.bytes += bytes;
         self.inserted.fetch_add(1, Ordering::Relaxed);
         cvr_obs::counter("cvr_cache_inserted_total", "Cache entries inserted").inc();
         let evicted = inner.evict_to(self.budget);
@@ -245,4 +258,134 @@ impl QueryCache {
 fn result_bytes(r: &RowsResponse) -> usize {
     let cols: usize = r.columns.iter().map(|c| c.name.len() + 16).sum();
     r.output.to_bytes().len() + cols + 160
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cvr_core::{ColumnEngine, EngineConfig, Parallelism, QueryCtx};
+    use cvr_data::gen::SsbConfig;
+    use cvr_data::queries::query;
+    use cvr_data::result::QueryOutput;
+    use cvr_data::value::Value;
+    use cvr_storage::io::IoSession;
+
+    /// A result whose accounted size grows with `rows`.
+    fn result(rows: i64) -> RowsResponse {
+        RowsResponse {
+            query_id: query(1, 1).id,
+            plan: "tICL".to_string(),
+            columns: Vec::new(),
+            output: QueryOutput::new((0..rows).map(|i| (vec![Value::Int(i)], i)).collect()),
+            io: Default::default(),
+            cached: false,
+        }
+    }
+
+    fn capture() -> Arc<FilterCapture> {
+        let engine = ColumnEngine::new(Arc::new(SsbConfig::with_scale(0.001).generate()));
+        let (_, cap) = engine
+            .try_execute_planned_capture(
+                &query(1, 1),
+                EngineConfig::FULL,
+                &[0, 1],
+                Parallelism::serial(),
+                &IoSession::unmetered(),
+                &QueryCtx::unbounded(),
+            )
+            .unwrap();
+        Arc::new(cap.expect("the invisible join captures"))
+    }
+
+    /// The LRU rule spelled out: every entry of both tiers with its size
+    /// and last-touch time; a put evicts the oldest entries, either tier,
+    /// until the footprint fits the budget.
+    #[derive(Default)]
+    struct Model {
+        entries: Vec<(Tier, String, usize, u64)>,
+        clock: u64,
+        evicted: u64,
+    }
+
+    impl Model {
+        fn touch(&mut self, tier: Tier, key: &str) -> bool {
+            self.clock += 1;
+            let clock = self.clock;
+            let e = self.entries.iter_mut().find(|e| e.0 == tier && e.1 == key);
+            e.map(|e| e.3 = clock).is_some()
+        }
+
+        fn put(&mut self, tier: Tier, key: &str, bytes: usize, budget: usize) {
+            self.clock += 1;
+            self.entries.push((tier, key.to_string(), bytes, self.clock));
+            while self.entries.iter().map(|e| e.2).sum::<usize>() > budget {
+                let oldest = (0..self.entries.len()).min_by_key(|&i| self.entries[i].3).unwrap();
+                self.entries.remove(oldest);
+                self.evicted += 1;
+            }
+        }
+
+        fn holds(&self, tier: Tier, key: &str) -> bool {
+            self.entries.iter().any(|e| e.0 == tier && e.1 == key)
+        }
+    }
+
+    #[test]
+    fn interleaved_tiers_evict_in_exact_lru_order() {
+        let cap = capture();
+        // Room for a few entries of either tier: results of four sizes
+        // (40 to 160 rows) and one filter size.
+        let budget = 3 * cap.approx_bytes() + 2 * result_bytes(&result(160));
+        let cache = QueryCache::new(budget);
+        let mut model = Model::default();
+        let keys: Vec<String> = (0..8).map(|k| format!("k{k}")).collect();
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..600 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let key = &keys[(rng >> 8) as usize % keys.len()];
+            let tier = if rng & 1 == 0 { Tier::Result } else { Tier::Filter };
+            if rng & 2 == 0 {
+                let hit = match tier {
+                    Tier::Result => cache.get_result(key).is_some(),
+                    Tier::Filter => cache.get_filter(key).is_some(),
+                };
+                assert_eq!(hit, model.touch(tier, key), "step {step}: get {tier:?} {key}");
+            } else if !model.holds(tier, key) {
+                match tier {
+                    Tier::Result => {
+                        let r = result((1 + (rng >> 20) as i64 % 4) * 40);
+                        model.put(tier, key, result_bytes(&r), budget);
+                        cache.put_result(key.clone(), &r);
+                    }
+                    Tier::Filter => {
+                        model.put(tier, key, cap.approx_bytes(), budget);
+                        cache.put_filter(key.clone(), cap.clone());
+                    }
+                }
+            }
+            for k in &keys {
+                let held = (model.holds(Tier::Result, k), model.holds(Tier::Filter, k));
+                assert_eq!(cache.peek(k, k), held, "step {step}: residency of {k}");
+            }
+            let stats = cache.stats();
+            assert_eq!(stats.evicted, model.evicted, "step {step}");
+            assert_eq!(stats.bytes, model.entries.iter().map(|e| e.2).sum::<usize>());
+        }
+        assert!(model.evicted > 50, "the sequence must exercise eviction");
+    }
+
+    #[test]
+    fn replacing_an_entry_releases_its_bytes() {
+        let cap = capture();
+        let cache = QueryCache::new(1 << 20);
+        cache.put_filter("f".to_string(), cap.clone());
+        cache.put_result("r".to_string(), &result(10));
+        cache.put_filter("f".to_string(), cap.clone());
+        cache.put_result("r".to_string(), &result(20));
+        let stats = cache.stats();
+        assert_eq!(stats.bytes, cap.approx_bytes() + result_bytes(&result(20)));
+        assert_eq!((stats.inserted, stats.evicted), (4, 0));
+    }
 }

@@ -7,9 +7,11 @@
 
 use cvr::core::{ColumnEngine, DenormDb, DenormVariant, EngineConfig, RowMvDb};
 use cvr::data::gen::{SsbConfig, SsbTables};
-use cvr::data::queries::all_queries;
+use cvr::data::queries::{all_queries, query, DimPredicate, Pred, SsbQuery};
 use cvr::data::reference;
 use cvr::data::result::QueryOutput;
+use cvr::data::schema::Dim;
+use cvr::data::value::Value;
 use cvr::row::designs::{RowDb, RowDesign};
 use cvr::storage::io::IoSession;
 use std::sync::Arc;
@@ -31,6 +33,39 @@ fn row_designs_match_reference() {
         let db = RowDb::build(t.clone(), design);
         for (q, e) in all_queries().iter().zip(&exp) {
             assert_eq!(&db.execute(q, &io), e, "{} on {}", design.label(), q.id);
+        }
+    }
+}
+
+/// `q` with its date predicates replaced by `preds` on DATE.
+fn with_date_preds(q: SsbQuery, preds: &[(&'static str, i64)]) -> SsbQuery {
+    let mut q = q;
+    q.dim_predicates.retain(|p| p.dim != Dim::Date);
+    for &(column, v) in preds {
+        q.dim_predicates.push(DimPredicate {
+            dim: Dim::Date,
+            column,
+            pred: Pred::Eq(Value::Int(v)),
+        });
+    }
+    q
+}
+
+#[test]
+fn partitioned_designs_answer_filters_no_year_satisfies() {
+    // No orderdate partition qualifies: a year outside the data, and a
+    // conjunction no single day satisfies. The pruned scan must be an
+    // empty stream, not a panic.
+    let t = tables();
+    let io = IoSession::unmetered();
+    let traditional = RowDb::build(t.clone(), RowDesign::Traditional);
+    let mv = RowDb::build(t.clone(), RowDesign::MaterializedViews);
+    for base in [query(1, 1), query(3, 1), query(4, 2)] {
+        for preds in [&[("d_year", 1900)][..], &[("d_year", 1993), ("d_yearmonthnum", 199512)]] {
+            let q = with_date_preds(base.clone(), preds);
+            let expected = reference::evaluate(&t, &q);
+            assert_eq!(traditional.execute(&q, &io), expected, "row:T on {} {preds:?}", q.id);
+            assert_eq!(mv.execute(&q, &io), expected, "row:MV on {} {preds:?}", q.id);
         }
     }
 }
