@@ -18,7 +18,10 @@
 //!   otherwise. `finish` decodes each group id back to a `Value` row
 //!   exactly **once per group**, which is the paper's late-materialization
 //!   argument carried all the way to the operator tail: strings are touched
-//!   `O(groups)` times, not `O(rows)`.
+//!   `O(groups)` times, not `O(rows)`. When every column's codes ascend
+//!   with its values (frame-of-reference integers, sorted dictionaries),
+//!   groups in id order are already in key order and `finish` skips the
+//!   sort.
 //!
 //! [`AggStrategy`] picks between them per query: code-level whenever every
 //! group column exposes a code space (all compressed SSB configurations),
@@ -26,7 +29,7 @@
 //! global code assignment, and inventing one per morsel would make codes
 //! inconsistent across workers).
 
-use crate::extract::{extract_at, extract_codes_at, CodeSpace};
+use crate::extract::{extract_at, extract_codes_at, CodeSpace, BLOCK};
 use crate::projection::CStoreDb;
 use cvr_data::queries::SsbQuery;
 use cvr_data::result::QueryOutput;
@@ -34,6 +37,7 @@ use cvr_data::value::Value;
 use cvr_storage::column::StoredColumn;
 use cvr_storage::io::IoSession;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Accumulates `group key → sum` pairs. The scalar reference aggregator.
 #[derive(Debug, Default)]
@@ -98,21 +102,30 @@ pub const DIRECT_GROUPS_LIMIT: u64 = 1 << 16;
 
 /// Decodes one group column's codes back to [`Value`]s at finish time.
 #[derive(Debug, Clone)]
-pub enum CodeDecoder {
+pub enum CodeDecoder<'a> {
     /// `code → Value::Int(reference + code)` (frame-of-reference integers).
     IntOffset(i64),
-    /// `code → values[code]` (dictionary strings, interned locals, or
-    /// filtered dimension rows).
+    /// `code → dict[code]`, borrowing a dictionary column's sorted
+    /// dictionary: nothing is cloned until a group is decoded.
+    Dict(&'a [Box<str>]),
+    /// `code → values[code]` (interned locals or translated codes), in no
+    /// particular order.
     Values(Vec<Value>),
 }
 
-impl CodeDecoder {
+impl CodeDecoder<'_> {
     /// Decode one code.
     fn decode(&self, code: u32) -> Value {
         match self {
             CodeDecoder::IntOffset(reference) => Value::Int(reference + code as i64),
+            CodeDecoder::Dict(dict) => Value::Str(dict[code as usize].clone()),
             CodeDecoder::Values(values) => values[code as usize].clone(),
         }
+    }
+
+    /// True when a larger code always decodes to a larger value.
+    fn ascends(&self) -> bool {
+        !matches!(self, CodeDecoder::Values(_))
     }
 }
 
@@ -120,18 +133,23 @@ impl CodeDecoder {
 /// multipliers) plus the per-column decoders applied once per group at
 /// finish. Built once per query execution and shared read-only by every
 /// morsel, so codes and ids are globally consistent.
+///
+/// Ids compose with the first group column most significant, so id order
+/// is the lexicographic order of the code tuples — and, when every decoder
+/// ascends, the order of the decoded keys.
 #[derive(Debug)]
-pub struct GroupLayout {
+pub struct GroupLayout<'a> {
     domains: Vec<u64>,
-    decoders: Vec<CodeDecoder>,
+    decoders: Vec<CodeDecoder<'a>>,
     total: u64,
+    ascending: bool,
 }
 
-impl GroupLayout {
+impl<'a> GroupLayout<'a> {
     /// Compose a layout from `(domain, decoder)` pairs, one per group
     /// column. Returns `None` when any domain is zero or the radix product
     /// overflows `u64` — callers fall back to the [`Grouper`] reference.
-    pub fn try_new(cols: Vec<(u64, CodeDecoder)>) -> Option<GroupLayout> {
+    pub fn try_new(cols: Vec<(u64, CodeDecoder<'a>)>) -> Option<GroupLayout<'a>> {
         let mut total = 1u64;
         for (domain, _) in &cols {
             if *domain == 0 {
@@ -139,8 +157,9 @@ impl GroupLayout {
             }
             total = total.checked_mul(*domain)?;
         }
+        let ascending = cols.iter().all(|(_, d)| d.ascends());
         let (domains, decoders) = cols.into_iter().unzip();
-        Some(GroupLayout { domains, decoders, total })
+        Some(GroupLayout { domains, decoders, total, ascending })
     }
 
     /// Number of group columns.
@@ -183,21 +202,79 @@ pub struct CodeGrouper {
 
 #[derive(Debug)]
 enum Repr {
-    /// Direct indexing: `sums[id]` plus a seen-bitmap so zero-sum groups
-    /// still surface and absent ids never do.
-    Direct { sums: Vec<i64>, seen: Vec<u64>, groups: u32 },
+    /// Direct indexing over the whole id domain.
+    Direct(DirectSums),
     /// `u64`-keyed fallback for large composed domains.
-    Hash(HashMap<u64, i64>),
+    Hash(HashMap<u64, i64, BuildHasherDefault<IdHasher>>),
+}
+
+/// Direct-indexed sums plus a seen-bitmap, so zero-sum groups still surface
+/// and absent ids never do.
+#[derive(Debug)]
+struct DirectSums {
+    sums: Vec<i64>,
+    seen: Vec<u64>,
+}
+
+impl DirectSums {
+    fn new(n: usize) -> DirectSums {
+        DirectSums { sums: vec![0; n], seen: vec![0; n.div_ceil(64)] }
+    }
+
+    #[inline]
+    fn add(&mut self, i: usize, term: i64) {
+        self.seen[i >> 6] |= 1u64 << (i & 63);
+        self.sums[i] += term;
+    }
+
+    /// The seen ids in ascending order, with their sums.
+    fn groups(&self) -> impl Iterator<Item = (usize, i64)> + '_ {
+        self.seen.iter().enumerate().flat_map(move |(w, &word)| {
+            let mut m = word;
+            std::iter::from_fn(move || {
+                (m != 0).then(|| {
+                    let i = (w << 6) | m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    (i, self.sums[i])
+                })
+            })
+        })
+    }
+}
+
+/// Multiplicative hashing of `u64` group ids. The ids come from the data,
+/// not from an adversary, so the hash table needs no SipHash per row.
+#[derive(Debug, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The table indexes buckets by the low bits; move the product's
+        // well-mixed high bits there.
+        self.0.rotate_left(26)
+    }
 }
 
 impl CodeGrouper {
     /// An empty accumulator shaped for `layout`.
-    pub fn for_layout(layout: &GroupLayout) -> CodeGrouper {
+    pub fn for_layout(layout: &GroupLayout<'_>) -> CodeGrouper {
         let repr = if layout.is_direct() {
             let n = layout.total as usize;
-            Repr::Direct { sums: vec![0; n], seen: vec![0; n.div_ceil(64)], groups: 0 }
+            Repr::Direct(DirectSums::new(n))
         } else {
-            Repr::Hash(HashMap::new())
+            Repr::Hash(HashMap::default())
         };
         CodeGrouper { radix: layout.domains.clone(), repr }
     }
@@ -211,25 +288,56 @@ impl CodeGrouper {
     /// Add `term` to the group `id`.
     #[inline]
     pub fn add(&mut self, id: u64, term: i64) {
-        match &mut self.repr {
-            Repr::Direct { sums, seen, groups } => {
-                let i = id as usize;
-                let bit = 1u64 << (i & 63);
-                let word = &mut seen[i >> 6];
-                if *word & bit == 0 {
-                    *word |= bit;
-                    *groups += 1;
-                }
-                sums[i] += term;
+        self.add_block(&[id], &[term]);
+    }
+
+    /// Fold group column `c`'s codes into a block of group ids: `id ×
+    /// radix(c) + code`. Starting from zeroed ids and folding the columns
+    /// in group-by order composes each row's id.
+    #[inline]
+    pub(crate) fn compose(&self, c: usize, ids: &mut [u64], codes: impl Iterator<Item = u32>) {
+        let radix = self.radix[c];
+        for (id, code) in ids.iter_mut().zip(codes) {
+            *id = *id * radix + code as u64;
+        }
+    }
+
+    /// Add `terms[i]` to the group whose column codes are `codes[c][i]`,
+    /// composing ids a block at a time.
+    pub fn add_coded(&mut self, codes: &[&[u32]], terms: &[i64]) {
+        let mut ids = [0u64; BLOCK];
+        for (start, terms) in (0..).step_by(BLOCK).zip(terms.chunks(BLOCK)) {
+            let ids = &mut ids[..terms.len()];
+            ids.fill(0);
+            for (c, codes) in codes.iter().enumerate() {
+                self.compose(c, ids, codes[start..start + terms.len()].iter().copied());
             }
-            Repr::Hash(map) => *map.entry(id).or_insert(0) += term,
+            self.add_block(ids, terms);
+        }
+    }
+
+    /// Add `terms[i]` to the group `ids[i]` for every row of a block, with
+    /// the representation chosen once for the whole block.
+    #[inline]
+    pub(crate) fn add_block(&mut self, ids: &[u64], terms: &[i64]) {
+        match &mut self.repr {
+            Repr::Direct(direct) => {
+                for (&id, &term) in ids.iter().zip(terms) {
+                    direct.add(id as usize, term);
+                }
+            }
+            Repr::Hash(map) => {
+                for (&id, &term) in ids.iter().zip(terms) {
+                    *map.entry(id).or_insert(0) += term;
+                }
+            }
         }
     }
 
     /// Number of groups so far.
     pub fn len(&self) -> usize {
         match &self.repr {
-            Repr::Direct { groups, .. } => *groups as usize,
+            Repr::Direct(direct) => direct.seen.iter().map(|w| w.count_ones() as usize).sum(),
             Repr::Hash(map) => map.len(),
         }
     }
@@ -244,22 +352,9 @@ impl CodeGrouper {
     pub fn merge(&mut self, other: CodeGrouper) {
         assert_eq!(self.radix, other.radix, "merging partials of different layouts");
         match (&mut self.repr, other.repr) {
-            (
-                Repr::Direct { sums, seen, groups },
-                Repr::Direct { sums: osums, seen: oseen, .. },
-            ) => {
-                for (w, &ow) in oseen.iter().enumerate() {
-                    let mut m = ow;
-                    while m != 0 {
-                        let i = (w << 6) | m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        let bit = 1u64 << (i & 63);
-                        if seen[i >> 6] & bit == 0 {
-                            seen[i >> 6] |= bit;
-                            *groups += 1;
-                        }
-                        sums[i] += osums[i];
-                    }
+            (Repr::Direct(direct), Repr::Direct(other)) => {
+                for (i, sum) in other.groups() {
+                    direct.add(i, sum);
                 }
             }
             (Repr::Hash(map), Repr::Hash(omap)) => {
@@ -276,27 +371,27 @@ impl CodeGrouper {
     }
 
     /// Decode every group id exactly once and normalize — byte-identical to
-    /// the [`Grouper`] reference over the same rows.
-    pub fn finish(self, layout: &GroupLayout, q: &SsbQuery) -> QueryOutput {
-        let rows: Vec<(Vec<Value>, i64)> = match self.repr {
-            Repr::Direct { sums, seen, .. } => {
-                let mut rows = Vec::new();
-                for (w, &word) in seen.iter().enumerate() {
-                    let mut m = word;
-                    while m != 0 {
-                        let i = (w << 6) | m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        rows.push((layout.decode(i as u64), sums[i]));
-                    }
-                }
-                rows
+    /// the [`Grouper`] reference over the same rows. Groups are decoded in
+    /// id order; under an ascending layout that is key order already, and
+    /// only layouts with an unordered decoder sort the decoded rows.
+    pub fn finish(self, layout: &GroupLayout<'_>, q: &SsbQuery) -> QueryOutput {
+        let groups: Vec<(u64, i64)> = match self.repr {
+            Repr::Direct(direct) => direct.groups().map(|(i, sum)| (i as u64, sum)).collect(),
+            Repr::Hash(map) => {
+                let mut groups: Vec<(u64, i64)> = map.into_iter().collect();
+                groups.sort_unstable_by_key(|&(id, _)| id);
+                groups
             }
-            Repr::Hash(map) => map.into_iter().map(|(id, sum)| (layout.decode(id), sum)).collect(),
         };
-        if rows.is_empty() && q.group_by.is_empty() {
+        if groups.is_empty() && q.group_by.is_empty() {
             return QueryOutput::scalar(0);
         }
-        QueryOutput::new(rows)
+        let rows = groups.into_iter().map(|(id, sum)| (layout.decode(id), sum)).collect();
+        if layout.ascending {
+            QueryOutput::from_sorted(rows)
+        } else {
+            QueryOutput::new(rows)
+        }
     }
 }
 
@@ -378,11 +473,11 @@ pub fn value_keyed_forced() -> bool {
 /// variant: code-level whenever every group column exposes a global code
 /// space, the [`Grouper`] reference otherwise.
 #[derive(Debug)]
-pub enum AggStrategy {
+pub enum AggStrategy<'a> {
     /// Code-level: extraction yields codes, accumulation composes ids.
     Code {
         /// Id composition + finish-time decoders.
-        layout: GroupLayout,
+        layout: GroupLayout<'a>,
         /// Per group column (aligned with `q.group_by`): how positions map
         /// to codes.
         spaces: Vec<CodeSpace>,
@@ -391,10 +486,10 @@ pub enum AggStrategy {
     Value,
 }
 
-impl AggStrategy {
+impl<'a> AggStrategy<'a> {
     /// Build the strategy for `q` over `db`'s dimension columns. Pure
     /// column-header metadata — charges no modeled I/O.
-    pub fn for_query(db: &CStoreDb, q: &SsbQuery) -> AggStrategy {
+    pub fn for_query(db: &'a CStoreDb, q: &SsbQuery) -> AggStrategy<'a> {
         if value_keyed_forced() {
             return AggStrategy::Value;
         }
@@ -470,7 +565,7 @@ pub enum AggPartial {
 impl AggPartial {
     /// Accumulate `count` aligned rows: `group` carries one entry per group
     /// column, `measures` one array per aggregate input. The code arm is
-    /// the engine's hot aggregation loop — no allocations, no clones.
+    /// the engine's hot aggregation loop — block kernels, no clones.
     pub fn add_rows(
         &mut self,
         q: &SsbQuery,
@@ -478,27 +573,18 @@ impl AggPartial {
         measures: &[Vec<i64>],
         count: usize,
     ) {
-        let mut inputs = vec![0i64; measures.len()];
+        let inputs: Vec<&[i64]> = measures.iter().map(|m| &m[..count]).collect();
+        let mut terms = vec![0; count];
+        q.aggregate.terms(&inputs, &mut terms);
         match self {
             AggPartial::Code(g) => {
-                for i in 0..count {
-                    for (j, m) in measures.iter().enumerate() {
-                        inputs[j] = m[i];
-                    }
-                    let mut id = 0u64;
-                    for (c, gd) in group.iter().enumerate() {
-                        id = id * g.radix(c) + gd.codes()[i] as u64;
-                    }
-                    g.add(id, q.aggregate.term(&inputs));
-                }
+                let codes: Vec<&[u32]> = group.iter().map(GroupData::codes).collect();
+                g.add_coded(&codes, &terms);
             }
             AggPartial::Value(g) => {
-                for i in 0..count {
-                    for (j, m) in measures.iter().enumerate() {
-                        inputs[j] = m[i];
-                    }
+                for (i, term) in terms.into_iter().enumerate() {
                     let key: Vec<Value> = group.iter().map(|gd| gd.values()[i].clone()).collect();
-                    g.add(key, q.aggregate.term(&inputs));
+                    g.add(key, term);
                 }
             }
         }
@@ -548,13 +634,8 @@ pub fn aggregate_columns(q: &SsbQuery, group_cols: &[Vec<Value>], terms: &[i64])
     match GroupLayout::try_new(cols) {
         Some(layout) => {
             let mut g = CodeGrouper::for_layout(&layout);
-            for (i, &term) in terms.iter().enumerate() {
-                let mut id = 0u64;
-                for (c, codes) in code_arrays.iter().enumerate() {
-                    id = id * g.radix(c) + codes[i] as u64;
-                }
-                g.add(id, term);
-            }
+            let codes: Vec<&[u32]> = code_arrays.iter().map(Vec::as_slice).collect();
+            g.add_coded(&codes, terms);
             g.finish(&layout, q)
         }
         // Interned domains overflowed u64 composition: the reference
@@ -661,7 +742,7 @@ mod tests {
         assert_eq!(aggregate_columns(&q, &groups, &terms), reference.finish(&q));
     }
 
-    fn int_layout(domains: &[u64]) -> GroupLayout {
+    fn int_layout(domains: &[u64]) -> GroupLayout<'static> {
         GroupLayout::try_new(domains.iter().map(|&d| (d, CodeDecoder::IntOffset(0))).collect())
             .expect("layout composes")
     }
@@ -713,6 +794,71 @@ mod tests {
         }
         assert_eq!(merged.len(), whole.len());
         assert_eq!(merged.finish(&layout, &q), whole.finish(&layout, &q));
+    }
+
+    /// Feed the same `(codes, term)` rows to a code grouper over `layout`
+    /// and to the reference grouper keyed by the decoded values.
+    fn both_tails(
+        layout: &GroupLayout<'_>,
+        rows: &[(Vec<u32>, i64)],
+        q: &SsbQuery,
+    ) -> (QueryOutput, QueryOutput) {
+        let mut code = CodeGrouper::for_layout(layout);
+        let mut reference = Grouper::new();
+        for (codes, term) in rows {
+            let id = codes.iter().zip(&layout.domains).fold(0, |id, (&c, &d)| id * d + c as u64);
+            code.add(id, *term);
+            let key = codes.iter().zip(&layout.decoders).map(|(&c, d)| d.decode(c)).collect();
+            reference.add(key, *term);
+        }
+        (code.finish(layout, q), reference.finish(q))
+    }
+
+    #[test]
+    fn id_order_finish_equals_the_sorted_output() {
+        // Frame-of-reference integers and a borrowed sorted dictionary
+        // ascend with their codes: groups come out of the id-ordered finish
+        // already in key order, for direct and hash layouts alike.
+        let dict: Vec<Box<str>> = ["AFRICA", "AMERICA", "ASIA", "EUROPE"].map(Into::into).into();
+        let q = query(2, 1);
+        for big in [1u64, 100_000] {
+            let layout = GroupLayout::try_new(vec![
+                (4, CodeDecoder::Dict(&dict)),
+                (7 * big, CodeDecoder::IntOffset(1992)),
+            ])
+            .unwrap();
+            assert!(layout.ascending);
+            assert_eq!(layout.is_direct(), big == 1);
+            let rows: Vec<(Vec<u32>, i64)> = (0..500u32)
+                .map(|i| (vec![(i * 7) % 4, (i * 13) % (7 * big as u32)], i as i64 - 250))
+                .collect();
+            let (code, reference) = both_tails(&layout, &rows, &q);
+            assert!(code.rows.windows(2).all(|w| w[0].0 < w[1].0));
+            assert_eq!(code, reference);
+            assert_eq!(code, QueryOutput::new(code.rows.clone()));
+        }
+    }
+
+    #[test]
+    fn interned_decoders_still_sort() {
+        // Interned locals number values in first-occurrence order, so code
+        // order is not value order: the finish must sort the decoded rows.
+        let column = [Value::str("b"), Value::str("c"), Value::str("a"), Value::str("b")];
+        let (codes, values) = intern_values(&column);
+        assert_eq!(codes, vec![0, 1, 2, 0]);
+        let layout = GroupLayout::try_new(vec![
+            (3, CodeDecoder::Values(values)),
+            (2, CodeDecoder::IntOffset(0)),
+        ])
+        .unwrap();
+        assert!(!layout.ascending);
+        let rows: Vec<(Vec<u32>, i64)> =
+            codes.iter().enumerate().map(|(i, &c)| (vec![c, i as u32 % 2], 1 << i)).collect();
+        let q = query(2, 1);
+        let (code, reference) = both_tails(&layout, &rows, &q);
+        assert_eq!(code, reference);
+        let keys: Vec<&Value> = code.rows.iter().map(|(k, _)| &k[0]).collect();
+        assert_eq!(keys, [&Value::str("a"), &Value::str("b"), &Value::str("b"), &Value::str("c")]);
     }
 
     #[test]

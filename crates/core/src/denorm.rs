@@ -358,15 +358,9 @@ impl DenormDb {
                     .iter()
                     .map(|c| gather_ints(self.store.column(c), &pos, io))
                     .collect();
-                let mut inputs = vec![0i64; measures.len()];
-                let terms: Vec<i64> = (0..pos.count() as usize)
-                    .map(|i| {
-                        for (j, m) in measures.iter().enumerate() {
-                            inputs[j] = m[i];
-                        }
-                        q.aggregate.term(&inputs)
-                    })
-                    .collect();
+                let inputs: Vec<&[i64]> = measures.iter().map(Vec::as_slice).collect();
+                let mut terms = vec![0; pos.count() as usize];
+                q.aggregate.terms(&inputs, &mut terms);
                 let out = aggregate_columns(q, &group_cols, &terms);
                 agg_span.rows(out.len() as u64);
                 Ok(out)

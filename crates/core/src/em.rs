@@ -79,7 +79,7 @@ struct RowPlan<'q> {
     /// pipeline aggregates on composed integer ids and decodes each group
     /// once at finish. `None` only when the composed domain overflows
     /// `u64`.
-    layout: Option<GroupLayout>,
+    layout: Option<GroupLayout<'static>>,
     /// Per group column: filtered-dimension-row → code (aligned with the
     /// layout's decoders).
     group_row_codes: Vec<Vec<u32>>,

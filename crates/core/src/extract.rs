@@ -6,86 +6,93 @@
 //! page-local) and dimension attributes at foreign-key-derived positions
 //! (arbitrary order — the "out-of-order extraction" cost the invisible join
 //! is designed to minimize, Section 5.4).
+//!
+//! Ascending gathers run a block of positions at a time ([`BLOCK`]): the
+//! encoding is matched once per block, RLE columns keep a run cursor from
+//! block to block, and the page charge is found page by page
+//! ([`StoredColumn::record_ascending`]) rather than position by position.
 
 use crate::agg::CodeDecoder;
 use crate::poslist::PosList;
 use cvr_data::value::Value;
-use cvr_storage::column::StoredColumn;
-use cvr_storage::encode::{Column, IntColumn, Run, StrColumn};
+use cvr_storage::column::{GatherPages, StoredColumn};
+use cvr_storage::encode::{Column, IntColumn, RunCursor, StrColumn};
 use cvr_storage::io::IoSession;
 
-/// A memoized cursor over an RLE run directory for arbitrary-order
-/// position lookups. Fact-ordered dimension probes hit the same run in
-/// bursts (fact rows sharing a foreign key cluster), so remembering the
-/// last-hit run and checking it (and its successor) before binary-searching
-/// turns the common case into O(1).
-struct RunCursor<'a> {
-    runs: &'a [Run],
-    last: usize,
+/// Positions per block of a block-at-a-time gather: small enough that a
+/// block's intermediates stay in the core's cache.
+pub(crate) const BLOCK: usize = 512;
+
+/// Charge a gather of the ascending positions of `pos` — the same op
+/// [`StoredColumn::charge_gather`] charges for them, found page by page.
+pub(crate) fn charge_ascending(col: &StoredColumn, pos: &PosList, io: &IoSession) {
+    let mut rec = GatherPages::new();
+    pos.for_each_block(BLOCK, |block| col.record_ascending(block, &mut rec));
+    col.charge_pages(&rec, io);
 }
 
-impl<'a> RunCursor<'a> {
-    fn new(runs: &'a [Run]) -> RunCursor<'a> {
-        RunCursor { runs, last: 0 }
+/// Reads an integer column at ascending positions, block by block (blocks
+/// of at most [`BLOCK`] positions). Charges nothing.
+pub(crate) struct IntReader<'a> {
+    int: &'a IntColumn,
+    runs: RunCursor<'a>,
+    scratch: Box<[u64; BLOCK]>,
+}
+
+impl<'a> IntReader<'a> {
+    /// A reader positioned before the first value of `int`.
+    pub(crate) fn new(int: &'a IntColumn) -> IntReader<'a> {
+        let runs = match int {
+            IntColumn::Rle { runs, .. } => runs.as_slice(),
+            _ => &[],
+        };
+        IntReader { int, runs: RunCursor::new(runs), scratch: Box::new([0; BLOCK]) }
     }
 
+    /// Values at `positions` (ascending, after every position read
+    /// before), written to the front of `out`.
     #[inline]
-    fn value_at(&mut self, col: &IntColumn, p: u32) -> i64 {
-        let r = &self.runs[self.last];
-        if p < r.start || p >= r.start + r.len {
-            let next = self.last + 1;
-            self.last = match self.runs.get(next) {
-                Some(n) if p >= n.start && p < n.start + n.len => next,
-                _ => col.run_containing(p),
-            };
+    pub(crate) fn read(&mut self, positions: &[u32], out: &mut [i64]) {
+        match self.int {
+            IntColumn::Plain { values, .. } => {
+                for (o, &p) in out.iter_mut().zip(positions) {
+                    *o = values[p as usize];
+                }
+            }
+            IntColumn::Rle { runs, .. } => {
+                for (o, &p) in out.iter_mut().zip(positions) {
+                    *o = runs[self.runs.seek(p)].value;
+                }
+            }
+            IntColumn::Packed { reference, packed } => {
+                let codes = &mut self.scratch[..positions.len()];
+                packed.gather(positions, codes);
+                for (o, &c) in out.iter_mut().zip(codes.iter()) {
+                    *o = reference + c as i64;
+                }
+            }
         }
-        self.runs[self.last].value
     }
 }
 
 /// Gather integer values at the (ascending) positions of `pos`.
-///
-/// RLE columns are walked run-by-run with a cursor (positions are ascending,
-/// so this is O(positions + runs) without decompressing).
 pub fn gather_ints(col: &StoredColumn, pos: &PosList, io: &IoSession) -> Vec<i64> {
-    col.charge_gather(pos.iter(), io);
-    let int = col.column.as_int();
-    let mut out = Vec::with_capacity(pos.count() as usize);
-    match int {
-        IntColumn::Plain { values, .. } => {
-            for p in pos.iter() {
-                out.push(values[p as usize]);
-            }
-        }
-        IntColumn::Rle { runs, .. } => {
-            let mut run = 0usize;
-            for p in pos.iter() {
-                while runs[run].start + runs[run].len <= p {
-                    run += 1;
-                }
-                out.push(runs[run].value);
-            }
-        }
-        IntColumn::Packed { reference, packed } => {
-            for p in pos.iter() {
-                out.push(reference + packed.get(p) as i64);
-            }
-        }
-    }
+    charge_ascending(col, pos, io);
+    let mut reader = IntReader::new(col.column.as_int());
+    let mut out = vec![0; pos.count() as usize];
+    let mut at = 0;
+    pos.for_each_block(BLOCK, |block| {
+        reader.read(block, &mut out[at..]);
+        at += block.len();
+    });
     out
 }
 
 /// Gather string values (as [`Value`]s) at ascending positions.
 pub fn gather_strs(col: &StoredColumn, pos: &PosList, io: &IoSession) -> Vec<Value> {
-    col.charge_gather(pos.iter(), io);
-    match col.column.as_str() {
-        StrColumn::Plain { values, .. } => {
-            pos.iter().map(|p| Value::Str(values[p as usize].clone())).collect()
-        }
-        StrColumn::Dict { dict, codes } => {
-            pos.iter().map(|p| Value::Str(dict[codes.get(p) as usize].clone())).collect()
-        }
-    }
+    charge_ascending(col, pos, io);
+    let s = col.column.as_str();
+    pos.iter().map(|p| Value::Str(s.value_at(p).into())).collect()
 }
 
 /// Gather any column at ascending positions as [`Value`]s.
@@ -102,43 +109,32 @@ pub fn gather_values(col: &StoredColumn, pos: &PosList, io: &IoSession) -> Vec<V
 /// honest.
 pub fn extract_at(col: &StoredColumn, positions: &[u32], io: &IoSession) -> Vec<Value> {
     col.charge_gather(positions.iter().copied(), io);
-    let mut out = Vec::with_capacity(positions.len());
+    values_at(col, positions)
+}
+
+/// The values at arbitrary-order `positions`, charging nothing (the read
+/// half of [`extract_at`]).
+pub(crate) fn values_at(col: &StoredColumn, positions: &[u32]) -> Vec<Value> {
     match &col.column {
-        Column::Int(int) => match int {
-            IntColumn::Plain { values, .. } => {
-                for &p in positions {
-                    out.push(Value::Int(values[p as usize]));
-                }
-            }
-            IntColumn::Rle { runs, .. } => {
-                // An empty run directory with non-empty positions panics
-                // inside the cursor, at the fault site, like the binary
-                // search it replaced.
-                let mut cursor = RunCursor::new(runs);
-                for &p in positions {
-                    out.push(Value::Int(cursor.value_at(int, p)));
-                }
-            }
-            IntColumn::Packed { reference, packed } => {
-                for &p in positions {
-                    out.push(Value::Int(reference + packed.get(p) as i64));
-                }
-            }
-        },
-        Column::Str(s) => match s {
-            StrColumn::Plain { values, .. } => {
-                for &p in positions {
-                    out.push(Value::Str(values[p as usize].clone()));
-                }
-            }
-            StrColumn::Dict { dict, codes } => {
-                for &p in positions {
-                    out.push(Value::Str(dict[codes.get(p) as usize].clone()));
-                }
-            }
-        },
+        Column::Int(IntColumn::Plain { values, .. }) => {
+            positions.iter().map(|&p| Value::Int(values[p as usize])).collect()
+        }
+        // An empty run directory with non-empty positions panics inside the
+        // cursor, at the fault site, like a binary search would.
+        Column::Int(IntColumn::Rle { runs, .. }) => {
+            let mut cursor = RunCursor::new(runs);
+            positions.iter().map(|&p| Value::Int(cursor.value_at(p))).collect()
+        }
+        Column::Int(IntColumn::Packed { reference, packed }) => {
+            positions.iter().map(|&p| Value::Int(reference + packed.get(p) as i64)).collect()
+        }
+        Column::Str(StrColumn::Plain { values, .. }) => {
+            positions.iter().map(|&p| Value::Str(values[p as usize].clone())).collect()
+        }
+        Column::Str(StrColumn::Dict { dict, codes }) => {
+            positions.iter().map(|&p| Value::Str(dict[codes.get(p) as usize].clone())).collect()
+        }
     }
-    out
 }
 
 /// The code space of a stored column — how positions map to dense `u32`
@@ -188,15 +184,13 @@ impl CodeSpace {
         }
     }
 
-    /// The finish-time decoder for this space over `col`. Dictionary
-    /// entries are cloned once per *distinct value* here — never per row.
-    pub fn decoder(&self, col: &StoredColumn) -> CodeDecoder {
+    /// The finish-time decoder for this space over `col`. A dictionary
+    /// decoder borrows the column's dictionary; entries are cloned only as
+    /// groups decode, once per group — never per row.
+    pub fn decoder<'a>(&self, col: &'a StoredColumn) -> CodeDecoder<'a> {
         match self {
             CodeSpace::Int { reference, .. } => CodeDecoder::IntOffset(*reference),
-            CodeSpace::Dict { .. } => {
-                let (dict, _) = col.column.as_str().dict_parts();
-                CodeDecoder::Values(dict.iter().map(|s| Value::Str(s.clone())).collect())
-            }
+            CodeSpace::Dict { .. } => CodeDecoder::Dict(col.column.as_str().dict_parts().0),
         }
     }
 }
@@ -222,7 +216,7 @@ pub fn extract_codes_at(
             IntColumn::Rle { runs, .. } => {
                 let mut cursor = RunCursor::new(runs);
                 for &p in positions {
-                    out.push((cursor.value_at(int, p) - reference) as u32);
+                    out.push((cursor.value_at(p) - reference) as u32);
                 }
             }
             // `code_bounds` reference for packed columns is the frame of
@@ -244,42 +238,37 @@ pub fn extract_codes_at(
 }
 
 /// Gather codes at the *ascending* positions of `pos` — the code-level
-/// counterpart of [`gather_values`], charging the identical gather. RLE
-/// columns are walked run-by-run with a cursor, like [`gather_ints`].
+/// counterpart of [`gather_values`], charging the identical gather.
 pub fn gather_codes(
     space: &CodeSpace,
     col: &StoredColumn,
     pos: &PosList,
     io: &IoSession,
 ) -> Vec<u32> {
-    col.charge_gather(pos.iter(), io);
-    let mut out = Vec::with_capacity(pos.count() as usize);
+    charge_ascending(col, pos, io);
+    let mut out = vec![0; pos.count() as usize];
+    let mut at = 0;
     match (&col.column, space) {
-        (Column::Int(int), CodeSpace::Int { reference, .. }) => match int {
-            IntColumn::Plain { values, .. } => {
-                for p in pos.iter() {
-                    out.push((values[p as usize] - reference) as u32);
+        (Column::Int(int), CodeSpace::Int { reference, .. }) => {
+            let mut reader = IntReader::new(int);
+            let mut values = [0i64; BLOCK];
+            pos.for_each_block(BLOCK, |block| {
+                reader.read(block, &mut values);
+                for (o, &v) in out[at..].iter_mut().zip(&values[..block.len()]) {
+                    *o = (v - reference) as u32;
                 }
-            }
-            IntColumn::Rle { runs, .. } => {
-                let mut run = 0usize;
-                for p in pos.iter() {
-                    while runs[run].start + runs[run].len <= p {
-                        run += 1;
-                    }
-                    out.push((runs[run].value - reference) as u32);
+                at += block.len();
+            });
+        }
+        (Column::Str(StrColumn::Dict { codes, .. }), CodeSpace::Dict { .. }) => {
+            let mut scratch = [0u64; BLOCK];
+            pos.for_each_block(BLOCK, |block| {
+                codes.gather(block, &mut scratch);
+                for (o, &c) in out[at..].iter_mut().zip(&scratch[..block.len()]) {
+                    *o = c as u32;
                 }
-            }
-            IntColumn::Packed { packed, .. } => {
-                for p in pos.iter() {
-                    out.push(packed.get(p) as u32);
-                }
-            }
-        },
-        (Column::Str(s @ StrColumn::Dict { .. }), CodeSpace::Dict { .. }) => {
-            for p in pos.iter() {
-                out.push(s.code_at(p));
-            }
+                at += block.len();
+            });
         }
         _ => panic!("code space does not match column encoding"),
     }
@@ -403,6 +392,7 @@ mod tests {
                     assert!((c as u64) < space.domain());
                     match &decoder {
                         crate::agg::CodeDecoder::IntOffset(r) => Value::Int(r + c as i64),
+                        crate::agg::CodeDecoder::Dict(d) => Value::Str(d[c as usize].clone()),
                         crate::agg::CodeDecoder::Values(v) => v[c as usize].clone(),
                     }
                 })

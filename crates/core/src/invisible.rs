@@ -16,23 +16,24 @@
 //! 3. **Minimal out-of-order extraction.** Only now, with all predicates
 //!    applied, are dimension attributes fetched: dense reassigned keys make
 //!    the FK value *be* the dimension row position ("a fast array
-//!    look-up"); DATE's non-dense `yyyymmdd` keys take the hash-join
-//!    fallback the paper describes.
+//!    look-up"); DATE's non-dense `yyyymmdd` keys take the real join the
+//!    paper describes, through a key → row table. Extraction and
+//!    aggregation run as one pass per position list (`phase3.rs`).
 
-use crate::agg::{AggStrategy, GroupData};
+use crate::agg::{AggPartial, AggStrategy};
 use crate::config::EngineConfig;
 use crate::ctx::{QueryCtx, QueryError};
 use crate::extract::gather_ints;
 use crate::morsel::{grid, intersect_ascending, try_run_morsels, Parallelism};
-use crate::poslist::PosList;
+use crate::phase3::Phase3;
+use crate::poslist::{PosList, Positions};
 use crate::projection::CStoreDb;
 use crate::scan::{scan_int, scan_int_range, scan_pred, scan_pred_range, IntScanPred};
 use cvr_data::queries::SsbQuery;
 use cvr_data::result::QueryOutput;
 use cvr_data::schema::Dim;
-use cvr_index::hashidx::{IntHashMap, IntHashSet};
+use cvr_index::hashidx::IntHashSet;
 use cvr_storage::io::{IoLog, IoSession, IoStats};
-use std::collections::HashMap;
 use std::time::Duration;
 
 /// The rewritten join predicate applied to a fact FK column in phase 2.
@@ -287,95 +288,71 @@ fn filter_serial(
     Ok(pos)
 }
 
-/// Key → position join tables for non-dense grouped dimensions (DATE),
-/// charged on `io`. The serial plan builds these lazily inside phase 3;
-/// parallel and warm executions build them up front so morsels share them
-/// read-only.
-fn build_join_maps(
+/// Charge building the key → row join tables of the non-dense grouped
+/// dimensions (DATE) on `io`: a key-column scan and the table's memory. The
+/// serial plan charges the scan inside phase 3 instead; parallel and warm
+/// executions charge it up front, where a shared table would be built. The
+/// table itself is built once per store ([`crate::projection::DimStore::key_rows`]).
+fn charge_join_tables(
     db: &CStoreDb,
     q: &SsbQuery,
     io: &IoSession,
     ctx: &QueryCtx,
-) -> Result<HashMap<Dim, IntHashMap>, QueryError> {
+) -> Result<(), QueryError> {
     let mut group_dims: Vec<Dim> = Vec::new();
     for g in &q.group_by {
         if !group_dims.contains(&g.dim) {
             group_dims.push(g.dim);
         }
     }
-    let mut join_maps: HashMap<Dim, IntHashMap> = HashMap::new();
-    for &dim in &group_dims {
+    for dim in group_dims {
         if !db.dim(dim).dense_keys {
             ctx.check()?;
             let keycol = db.dim(dim).store.column(dim.key_column());
             keycol.charge_scan(io);
-            let keys = keycol.column.as_int().decode();
-            ctx.charge(keys.len() * 12)?; // decoded keys + hash-table entries
-            join_maps.insert(
-                dim,
-                IntHashMap::from_pairs(keys.iter().enumerate().map(|(p, &k)| (k, p as u32))),
-            );
+            ctx.charge(keycol.column.len() * 12)?; // decoded keys + hash-table entries
         }
     }
-    Ok(join_maps)
+    Ok(())
 }
 
 /// Phase 3 over one position list: minimal out-of-order extraction of group
 /// and measure values at the surviving positions, partially aggregated on
-/// group ids. With `join_maps: Some(..)` (parallel / warm executions) the
-/// prebuilt key→position tables are shared; with `None` (serial) the DATE
-/// join table is built here, charging the key column — exactly the lazy
-/// behavior the serial plan always had.
+/// group ids, in one pass (see [`Phase3`]).
 fn phase3_partial(
-    db: &CStoreDb,
     q: &SsbQuery,
-    strat: &AggStrategy,
-    join_maps: Option<&HashMap<Dim, IntHashMap>>,
-    pos: &PosList,
+    phase3: &Phase3<'_>,
+    pos: Positions<'_>,
     io: &IoSession,
     ctx: &QueryCtx,
-) -> Result<crate::agg::AggPartial, QueryError> {
+) -> Result<AggPartial, QueryError> {
     ctx.check()?;
     // Account the gathered group/measure arrays this phase materializes.
     let width = q.group_by.len() + q.aggregate.fact_columns().len();
-    ctx.charge((pos.count() as usize).saturating_mul(8 * width.max(1)))?;
-    let mut group_cols: Vec<GroupData> = Vec::with_capacity(q.group_by.len());
-    let mut fk_cache: HashMap<Dim, Vec<u32>> = HashMap::new();
-    for (gi, g) in q.group_by.iter().enumerate() {
-        let dim = g.dim;
-        fk_cache.entry(dim).or_insert_with(|| {
-            let fk_col = db.fact.column(dim.fact_fk_column());
-            let fks = gather_ints(fk_col, pos, io);
-            if db.dim(dim).dense_keys {
-                // Reassigned keys: FK value == dimension row position.
-                fks.into_iter().map(|k| k as u32).collect()
-            } else if let Some(maps) = join_maps {
-                let map = &maps[&dim];
-                fks.into_iter().map(|k| map.get(k).expect("fact FK must join DATE")).collect()
-            } else {
-                // DATE: non-dense keys — perform the join via a key→position
-                // hash table built from the dimension key column.
-                let keycol = db.dim(dim).store.column(dim.key_column());
-                keycol.charge_scan(io);
-                let keys = keycol.column.as_int().decode();
-                let map =
-                    IntHashMap::from_pairs(keys.iter().enumerate().map(|(p, &k)| (k, p as u32)));
-                fks.into_iter().map(|k| map.get(k).expect("fact FK must join DATE")).collect()
-            }
-        });
-        let dim_positions = &fk_cache[&dim];
-        let col = db.dim(dim).store.column(g.column);
-        group_cols.push(strat.extract_group_at(gi, col, dim_positions, io));
-    }
-    let measure_cols: Vec<Vec<i64>> = q
-        .aggregate
-        .fact_columns()
-        .iter()
-        .map(|c| gather_ints(db.fact.column(c), pos, io))
-        .collect();
-    let mut partial = strat.new_partial();
-    partial.add_rows(q, &group_cols, &measure_cols, pos.count() as usize);
-    Ok(partial)
+    ctx.charge(pos.count().saturating_mul(8 * width.max(1)))?;
+    Ok(phase3.run(pos, io))
+}
+
+/// The serial plan's phase 3 over the final position list, under its
+/// "extract-aggregate" span: the DATE join table's key scan is charged
+/// here, where the serial plan always built the table.
+fn extract_aggregate(
+    db: &CStoreDb,
+    q: &SsbQuery,
+    pos: &PosList,
+    io: &IoSession,
+    ctx: &QueryCtx,
+) -> Result<QueryOutput, QueryError> {
+    // Dimension attributes are extracted as codes when every group column
+    // has a code space (see [`AggStrategy`]), so no strings are
+    // materialized per row.
+    let strat = AggStrategy::for_query(db, q);
+    let phase3 = Phase3::new(db, q, &strat, true);
+    let mut span = ctx.span("extract-aggregate", "", io);
+    let partial = phase3_partial(q, &phase3, Positions::List(pos), io, ctx)?;
+    let out = strat.finish(partial, q);
+    span.rows(out.len() as u64);
+    Ok(out)
 }
 
 /// Execute `q` with the invisible join (infallible test shorthand).
@@ -425,15 +402,8 @@ pub(crate) fn try_execute_opts(
 ) -> Result<QueryOutput, QueryError> {
     // Phases 1+2 per restricted dimension, then fact predicates.
     let pos = filter_serial(db, q, cfg, opts, io, &mut None, ctx)?;
-    // Phase 3: dimension attribute extraction at the final position list —
-    // as codes when every group column has a code space (see
-    // [`AggStrategy`]), so no strings are materialized per row.
-    let strat = AggStrategy::for_query(db, q);
-    let mut span = ctx.span("extract-aggregate", "", io);
-    let partial = phase3_partial(db, q, &strat, None, &pos, io, ctx)?;
-    let out = strat.finish(partial, q);
-    span.rows(out.len() as u64);
-    Ok(out)
+    // Phase 3: dimension attribute extraction at the final position list.
+    extract_aggregate(db, q, &pos, io, ctx)
 }
 
 /// Parallel invisible join with an unbounded lifecycle (test shorthand).
@@ -508,17 +478,18 @@ fn execute_par_impl(
         preds
     };
 
-    // Non-dense grouped dimensions (DATE) need a key → position join table;
-    // the serial plan builds it once per dimension inside phase 3. Build it
-    // up front so every morsel can share it read-only. Never captured: it
-    // depends on the group-by, not the filter, and is rebuilt live (with
-    // identical charges) on warm executions.
-    let join_maps = build_join_maps(db, q, io, ctx)?;
+    // Non-dense grouped dimensions (DATE) need a key → row join table; the
+    // serial plan charges building it inside phase 3, the morsels share it,
+    // so it is charged here, up front. Never captured: it depends on the
+    // group-by, not the filter, and is charged live (identically) on warm
+    // executions.
+    charge_join_tables(db, q, io, ctx)?;
 
     // The aggregation strategy is derived from column-header metadata only
-    // (no charges) and shared read-only, so every morsel extracts codes in
-    // the same global code spaces.
+    // (no charges) and shared read-only with phase 3's lookup tables, so
+    // every morsel extracts codes in the same global code spaces.
     let strat = AggStrategy::for_query(db, q);
+    let phase3 = Phase3::new(db, q, &strat, false);
 
     // Per-operator output tallies for tracing: one slot per key predicate
     // then per fact predicate. Each morsel's fragment count for an operator
@@ -569,15 +540,20 @@ fn execute_par_impl(
                 Some(acc) => intersect_ascending(&acc, &frag),
             });
         }
-        let pos_vec = pos.unwrap_or_else(|| range.collect());
-        ctx.charge(pos_vec.len() * 4)?; // this morsel's surviving positions
-        let frag = capturing.then(|| pos_vec.clone());
-        let pos = PosList::explicit(pos_vec, n);
+        let pos = pos.unwrap_or_else(|| range.collect());
+        ctx.charge(pos.len() * 4)?; // this morsel's surviving positions
 
         // Phase 3 over this morsel: minimal out-of-order extraction at the
         // surviving positions, then partial aggregation on group ids.
         let rio3 = IoSession::recording(pool.clone());
-        let partial = phase3_partial(db, q, &strat, Some(&join_maps), &pos, &rio3, ctx)?;
+        let partial = phase3_partial(q, &phase3, Positions::Slice(&pos), &rio3, ctx)?;
+        // A captured fragment lives in the cache, which budgets it by its
+        // length: drop the intersections' spare capacity.
+        let frag = capturing.then(|| {
+            let mut pos = pos;
+            pos.shrink_to_fit();
+            pos
+        });
         Ok((rio2.take_log(), rio3.take_log(), frag, partial))
     })?;
 
@@ -658,12 +634,7 @@ pub(crate) fn try_execute_capture(
         let mut logs: Vec<IoLog> = Vec::new();
         let pos =
             filter_serial(db, q, cfg, InvisibleOptions::default(), io, &mut Some(&mut logs), ctx)?;
-        let strat = AggStrategy::for_query(db, q);
-        let mut span = ctx.span("extract-aggregate", "", io);
-        let partial = phase3_partial(db, q, &strat, None, &pos, io, ctx)?;
-        let out = strat.finish(partial, q);
-        span.rows(out.len() as u64);
-        drop(span);
+        let out = extract_aggregate(db, q, &pos, io, ctx)?;
         let capture = FilterCapture {
             coordinator_logs: logs,
             morsel_logs: Vec::new(),
@@ -715,13 +686,7 @@ pub(crate) fn try_execute_warm(
             }
             replay.rows(pos.count() as u64);
         }
-        let strat = AggStrategy::for_query(db, q);
-        let mut span = ctx.span("extract-aggregate", "", io);
-        let partial = phase3_partial(db, q, &strat, None, pos, io, ctx)?;
-        let out = strat.finish(partial, q);
-        span.rows(out.len() as u64);
-        drop(span);
-        Ok(Some(out))
+        Ok(Some(extract_aggregate(db, q, pos, io, ctx)?))
     } else {
         let CapturedPositions::Morsels(frags) = &capture.positions else {
             return Ok(None);
@@ -730,25 +695,25 @@ pub(crate) fn try_execute_warm(
         if frags.len() != count {
             return Ok(None);
         }
-        // Replay phases 1 and 2 from the capture; rebuild the join tables
+        // Replay phases 1 and 2 from the capture; charge the join tables
         // live between them, exactly where the cold plan charges them.
         let mut replay = ctx.span("filter-replay", "cached filter charges", io);
         for log in &capture.coordinator_logs {
             io.replay(log);
         }
-        let join_maps = build_join_maps(db, q, io, ctx)?;
+        charge_join_tables(db, q, io, ctx)?;
         io.replay_interleaved(&capture.morsel_logs);
         replay.rows(frags.iter().map(Vec::len).sum::<usize>() as u64);
         drop(replay);
         // Phase 3 live, over the same morsel grid and the captured
-        // surviving positions.
+        // surviving positions, borrowed in place.
         let strat = AggStrategy::for_query(db, q);
+        let phase3 = Phase3::new(db, q, &strat, false);
         let mut span = ctx.span("extract-aggregate", "", io);
         let pool = io.pool().clone();
         let results = try_run_morsels(n, par, ctx, |i, _range| {
             let rio = IoSession::recording(pool.clone());
-            let pos = PosList::explicit(frags[i].clone(), n);
-            let partial = phase3_partial(db, q, &strat, Some(&join_maps), &pos, &rio, ctx)?;
+            let partial = phase3_partial(q, &phase3, Positions::Slice(&frags[i]), &rio, ctx)?;
             Ok((rio.take_log(), partial))
         })?;
         let mut merged = strat.new_partial();
@@ -771,6 +736,7 @@ mod tests {
     use cvr_data::gen::SsbConfig;
     use cvr_data::queries::{all_queries, query};
     use cvr_data::reference;
+    use std::collections::HashMap;
     use std::sync::Arc;
 
     fn db() -> CStoreDb {
@@ -895,6 +861,118 @@ mod tests {
             != crate::morsel::grid(db.fact_rows() as u32, par).1
         {
             assert!(execute_warm(&db, &q, other, &io, &par_cap).is_none());
+        }
+    }
+
+    /// Tables whose PART brands are padded so `p_brand1` spans several
+    /// pages in both stores: plain values of about 90 bytes in the
+    /// uncompressed store, and in the compressed store a dictionary prefix
+    /// that ends two code words before a page boundary, so the first parts'
+    /// codes and the rest's sit on different pages. (At the scale factors
+    /// the benchmarks use, every dimension column fits in one page.)
+    fn multi_page_brand_tables() -> cvr_data::gen::SsbTables {
+        use cvr_data::table::ColumnData;
+        use cvr_storage::io::PAGE_SIZE;
+        let mut tables = SsbConfig { sf: 0.01, seed: 23 }.generate();
+        let idx = tables.part.schema.col("p_brand1");
+        let ColumnData::Str(brands) = &mut tables.part.columns[idx] else {
+            unreachable!("p_brand1 is a string column")
+        };
+        let mut distinct = brands.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let pad = 80;
+        let dict_bytes: u64 = distinct.iter().map(|b| (b.len() + 2 + pad) as u64).sum();
+        let extra = (2 * PAGE_SIZE - 16 - dict_bytes % PAGE_SIZE) % PAGE_SIZE;
+        let (per_brand, rest) = (extra / distinct.len() as u64, extra % distinct.len() as u64);
+        for b in brands.iter_mut() {
+            let more = per_brand + if *b == distinct[0] { rest } else { 0 };
+            *b = format!("{b}-{}", "x".repeat(pad + more as usize));
+        }
+        tables
+    }
+
+    /// Phase 3's charges as separate gathers in plan order: per group
+    /// column, its foreign-key gather on first use (then, for DATE, the
+    /// join table's key scan) and its dimension gather; then one gather
+    /// per measure.
+    fn separate_gathers(db: &CStoreDb, q: &SsbQuery, pos: &PosList, io: &IoSession) {
+        let mut dim_rows: Vec<(Dim, Vec<u32>)> = Vec::new();
+        for g in &q.group_by {
+            if !dim_rows.iter().any(|(d, _)| *d == g.dim) {
+                let fk_col = db.fact.column(g.dim.fact_fk_column());
+                fk_col.charge_gather(pos.iter(), io);
+                let fks = fk_col.column.as_int().decode();
+                let rows = if db.dim(g.dim).dense_keys {
+                    pos.iter().map(|p| fks[p as usize] as u32).collect()
+                } else {
+                    let keycol = db.dim(g.dim).store.column(g.dim.key_column());
+                    keycol.charge_scan(io);
+                    let keys = keycol.column.as_int().decode();
+                    let map: HashMap<i64, u32> =
+                        keys.iter().enumerate().map(|(r, &k)| (k, r as u32)).collect();
+                    pos.iter().map(|p| map[&fks[p as usize]]).collect()
+                };
+                dim_rows.push((g.dim, rows));
+            }
+            let rows = &dim_rows.iter().find(|(d, _)| *d == g.dim).expect("joined").1;
+            db.dim(g.dim).store.column(g.column).charge_gather(rows.iter().copied(), io);
+        }
+        for c in q.aggregate.fact_columns() {
+            db.fact.column(c).charge_gather(pos.iter(), io);
+        }
+    }
+
+    #[test]
+    fn fused_pass_charges_like_separate_gathers_on_multi_page_dimension_columns() {
+        use crate::agg::AggStrategy;
+        use cvr_storage::io::BufferPool;
+        let tables = Arc::new(multi_page_brand_tables());
+        for compressed in [true, false] {
+            let db = CStoreDb::build(tables.clone(), compressed);
+            let brand = db.dim(Dim::Part).store.column("p_brand1");
+            let pages = brand.row_pages().expect("p_brand1 spans several pages");
+            assert!(pages.iter().min() < pages.iter().max(), "rows on different pages");
+            let cfg = EngineConfig::parse(if compressed { "tICL" } else { "tIcL" });
+            // Q2.1 over every part reaches both sides of the page boundary.
+            let mut all_parts = query(2, 1);
+            all_parts.dim_predicates.retain(|p| p.dim != Dim::Part);
+            for q in [query(2, 1), query(2, 3), all_parts] {
+                let ctx = QueryCtx::unbounded();
+                let opts = InvisibleOptions::default();
+                let io = IoSession::unmetered();
+                let pos = filter_serial(&db, &q, cfg, opts, &io, &mut None, &ctx).unwrap();
+                let strat = AggStrategy::for_query(&db, &q);
+                assert_eq!(strat.is_code_level(), compressed, "{}", q.id);
+
+                let fused = IoSession::recording(BufferPool::unbounded());
+                let partial = Phase3::new(&db, &q, &strat, true).run(Positions::List(&pos), &fused);
+                assert_eq!(strat.finish(partial, &q), reference::evaluate(&tables, &q), "{}", q.id);
+                let separate = IoSession::recording(BufferPool::unbounded());
+                separate_gathers(&db, &q, &pos, &separate);
+                let (fused, separate) = (fused.take_log(), separate.take_log());
+                assert_eq!(fused, separate, "{} charges", q.id);
+                // Over every part, the brand gather changes pages back and
+                // forth.
+                if q.dim_predicates.iter().all(|p| p.dim != Dim::Part) {
+                    let brand_reads =
+                        fused.entries().iter().filter(|(p, _)| p.file == brand.file_id()).count();
+                    let dict_pages = if compressed { 2 } else { 0 };
+                    assert!(brand_reads > dict_pages + 2, "{} brand pages", q.id);
+                }
+
+                // Morsel fragments charge, merged, like the serial pass
+                // (repeated boundary pages resolve to pool hits).
+                let par = Parallelism { threads: 3, morsel_rows: 1024 };
+                let (serial_io, par_io) = (IoSession::unmetered(), IoSession::unmetered());
+                let serial = execute(&db, &q, cfg, &serial_io);
+                assert_eq!(execute_par(&db, &q, cfg, par, &par_io), serial, "{}", q.id);
+                let (a, b) = (serial_io.stats(), par_io.stats());
+                assert_eq!(
+                    (a.pages_read, a.bytes_read, a.seeks),
+                    (b.pages_read, b.bytes_read, b.seeks)
+                );
+            }
         }
     }
 

@@ -64,6 +64,7 @@ pub mod invisible;
 pub mod kernels;
 pub mod lmjoin;
 pub mod morsel;
+mod phase3;
 pub mod poslist;
 pub mod projection;
 pub mod row_mv;

@@ -33,6 +33,34 @@ pub enum PosList {
     },
 }
 
+/// Ascending positions borrowed for extraction: a whole [`PosList`] (serial
+/// plans) or one morsel's fragment of the surviving positions.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Positions<'a> {
+    /// A whole position list.
+    List(&'a PosList),
+    /// A strictly ascending slice.
+    Slice(&'a [u32]),
+}
+
+impl Positions<'_> {
+    /// Number of positions.
+    pub(crate) fn count(&self) -> usize {
+        match self {
+            Positions::List(p) => p.count() as usize,
+            Positions::Slice(s) => s.len(),
+        }
+    }
+
+    /// [`PosList::for_each_block`] over either form.
+    pub(crate) fn for_each_block(&self, block: usize, f: impl FnMut(&[u32])) {
+        match self {
+            Positions::List(p) => p.for_each_block(block, f),
+            Positions::Slice(s) => s.chunks(block).for_each(f),
+        }
+    }
+}
+
 /// Selectivity threshold (as a divisor of the universe) above which scans
 /// prefer a bitmap over an explicit list.
 pub const EXPLICIT_LIMIT_DIVISOR: u32 = 16;
@@ -147,6 +175,26 @@ impl PosList {
             PosList::Range { start, end, .. } => Box::new(*start..*end),
             PosList::Bitmap(b) => Box::new(b.iter()),
             PosList::Explicit { positions, .. } => Box::new(positions.iter().copied()),
+        }
+    }
+
+    /// Visit the positions in ascending order as slices of at most `block`
+    /// positions: explicit lists are sliced in place, ranges and bitmaps
+    /// are expanded one block at a time into a reused buffer.
+    pub(crate) fn for_each_block(&self, block: usize, mut f: impl FnMut(&[u32])) {
+        if let PosList::Explicit { positions, .. } = self {
+            return positions.chunks(block).for_each(f);
+        }
+        let mut buf = Vec::with_capacity(block);
+        for p in self.iter() {
+            buf.push(p);
+            if buf.len() == block {
+                f(&buf);
+                buf.clear();
+            }
+        }
+        if !buf.is_empty() {
+            f(&buf);
         }
     }
 

@@ -20,7 +20,7 @@
 //! others secondarily sorted)".
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cvr_data::gen::SsbTables;
 use cvr_data::schema::Dim;
@@ -48,6 +48,74 @@ pub struct DimStore {
     pub sorted: TableData,
     /// True when keys were reassigned to the dense sequence `0..n`.
     pub dense_keys: bool,
+    /// The key column's name.
+    key_column: &'static str,
+    /// The key → row join table, built on first use (see
+    /// [`DimStore::key_rows`]).
+    key_rows: OnceLock<KeyRows>,
+}
+
+/// Marks a key with no dimension row in a [`KeyRows::Direct`] table.
+const NO_ROW: u32 = u32::MAX;
+
+/// How a fact foreign key finds its dimension row.
+#[derive(Debug)]
+pub(crate) enum KeyRows {
+    /// Reassigned dense keys: the key *is* the row ("a fast array
+    /// look-up").
+    Dense,
+    /// Non-dense keys (DATE's `yyyymmdd`, about 61 k slots):
+    /// `rows[key - reference]`.
+    Direct {
+        /// The smallest key.
+        reference: i64,
+        /// Row per key offset; `u32::MAX` where no row has that key.
+        rows: Box<[u32]>,
+    },
+}
+
+impl KeyRows {
+    /// Dimension rows of the foreign keys `keys`, written to the front of
+    /// `rows`. Panics when a key has no row: fact FKs always join.
+    #[inline]
+    pub(crate) fn rows_of(&self, keys: &[i64], rows: &mut [u32]) {
+        match self {
+            KeyRows::Dense => {
+                for (r, &k) in rows.iter_mut().zip(keys) {
+                    *r = k as u32;
+                }
+            }
+            KeyRows::Direct { reference, rows: table } => {
+                for (r, &k) in rows.iter_mut().zip(keys) {
+                    let row = table.get(k.wrapping_sub(*reference) as usize).copied();
+                    *r = row.filter(|&row| row != NO_ROW).expect("fact FK must join its dimension");
+                }
+            }
+        }
+    }
+}
+
+impl DimStore {
+    /// The key → row join table of this dimension, built once per store
+    /// from the in-memory key column (it charges no I/O; plans that model
+    /// building a join table charge its key-column scan themselves). The
+    /// first row wins when keys repeat, like a hash join build.
+    pub(crate) fn key_rows(&self) -> &KeyRows {
+        self.key_rows.get_or_init(|| {
+            if self.dense_keys {
+                return KeyRows::Dense;
+            }
+            let keycol = self.store.column(self.key_column);
+            let keys = keycol.column.as_int().decode();
+            let (reference, span) =
+                keycol.int_code_bounds().expect("dimension keys span a u32 code range");
+            let mut rows = vec![NO_ROW; span as usize];
+            for (row, &k) in keys.iter().enumerate().rev() {
+                rows[(k - reference) as usize] = row as u32;
+            }
+            KeyRows::Direct { reference, rows: rows.into_boxed_slice() }
+        })
+    }
 }
 
 /// The C-Store database: fact + dimension projections at one compression
@@ -109,7 +177,9 @@ impl CStoreDb {
                 key_remaps.insert(d, remap);
             }
             let store = ColumnStore::from_table(&sorted, choice);
-            dims.insert(d, DimStore { store, sorted, dense_keys: dense });
+            let key_column = d.key_column();
+            let key_rows = OnceLock::new();
+            dims.insert(d, DimStore { store, sorted, dense_keys: dense, key_column, key_rows });
         }
 
         // --- Fact: remap FKs, then sort by (orderdate, quantity, discount). ---
@@ -173,6 +243,31 @@ mod tests {
                 assert!(nations[i - 1] <= nations[i]);
             }
         }
+    }
+
+    #[test]
+    fn key_rows_join_every_fact_key_to_its_dimension_row() {
+        let db = db(true);
+        assert!(matches!(db.dim(Dim::Customer).key_rows(), KeyRows::Dense));
+        let date = db.dim(Dim::Date);
+        let KeyRows::Direct { rows, .. } = date.key_rows() else {
+            panic!("DATE keys span a few tens of thousands of slots")
+        };
+        assert!(rows.len() < 70_000);
+        let keys = date.sorted.column("d_datekey").ints();
+        let fks = db.fact.column("lo_orderdate").column.as_int().decode();
+        let mut direct = vec![0; fks.len()];
+        date.key_rows().rows_of(&fks, &mut direct);
+        for (&fk, &row) in fks.iter().zip(&direct) {
+            assert_eq!(keys[row as usize], fk);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must join")]
+    fn key_rows_reject_keys_without_a_row() {
+        let db = db(true);
+        db.dim(Dim::Date).key_rows().rows_of(&[19920100], &mut [0]);
     }
 
     #[test]

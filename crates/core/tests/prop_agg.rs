@@ -46,7 +46,7 @@ fn codes_for(domains: &[u64], raw: &(u64, u64, u64)) -> Vec<u64> {
     [raw.0, raw.1, raw.2].iter().zip(domains).map(|(&r, &d)| r % d).collect()
 }
 
-fn layout_for(domains: &[u64]) -> GroupLayout {
+fn layout_for(domains: &[u64]) -> GroupLayout<'static> {
     // IntOffset decoders with distinct references so columns are
     // distinguishable in the decoded keys.
     GroupLayout::try_new(

@@ -131,12 +131,29 @@ impl AggExpr {
         }
     }
 
-    /// Evaluate the aggregate's per-row term.
+    /// Evaluate the aggregate's per-row term: [`AggExpr::terms`] over one
+    /// row, `inputs[j]` holding input `j`.
     pub fn term(self, inputs: &[i64]) -> i64 {
+        let mut out = [0];
+        self.terms(&[&inputs[..1], inputs.get(1..2).unwrap_or_default()], &mut out);
+        out[0]
+    }
+
+    /// The terms of a block of rows: `inputs[j]` holds input `j` of every
+    /// row, and `out[i]` receives row `i`'s term.
+    pub fn terms(self, inputs: &[&[i64]], out: &mut [i64]) {
         match self {
-            AggExpr::SumExtendedPriceTimesDiscount => inputs[0] * inputs[1],
-            AggExpr::SumRevenue => inputs[0],
-            AggExpr::SumRevenueMinusSupplyCost => inputs[0] - inputs[1],
+            AggExpr::SumExtendedPriceTimesDiscount => {
+                for ((o, &a), &b) in out.iter_mut().zip(inputs[0]).zip(inputs[1]) {
+                    *o = a * b;
+                }
+            }
+            AggExpr::SumRevenue => out.copy_from_slice(inputs[0]),
+            AggExpr::SumRevenueMinusSupplyCost => {
+                for ((o, &a), &b) in out.iter_mut().zip(inputs[0]).zip(inputs[1]) {
+                    *o = a - b;
+                }
+            }
         }
     }
 }

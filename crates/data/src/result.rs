@@ -25,6 +25,13 @@ impl QueryOutput {
         QueryOutput { rows }
     }
 
+    /// Wrap rows that are already normalized: keys distinct and ascending,
+    /// exactly the order [`QueryOutput::new`] would sort them into.
+    pub fn from_sorted(rows: Vec<ResultRow>) -> QueryOutput {
+        debug_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "rows must ascend by key");
+        QueryOutput { rows }
+    }
+
     /// A scalar result (no group-by).
     pub fn scalar(sum: i64) -> QueryOutput {
         QueryOutput { rows: vec![(Vec::new(), sum)] }

@@ -13,9 +13,46 @@
 //!   materialization): only the pages covering the requested positions are
 //!   fetched, in position order.
 
-use crate::encode::{Column, IntColumn, StrColumn, RLE_RUN_BYTES};
+use crate::encode::{Column, IntColumn, RunCursor, StrColumn, RLE_RUN_BYTES};
 use crate::io::{pages_for, FileId, IoSession, PageId, PAGE_SIZE};
 use cvr_data::table::TableData;
+use std::sync::OnceLock;
+
+/// The pages one positional gather touches, recorded on page changes: a
+/// position on the same page as the one before it adds nothing. This is
+/// the charge of one [`StoredColumn::charge_gather`] op minus the
+/// dictionary prefix, which [`StoredColumn::charge_pages`] adds.
+///
+/// Recording is separate from charging so a fused extraction loop can
+/// record several columns' gathers as it goes and charge them afterwards,
+/// op by op, in the order separate gathers would have charged them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GatherPages {
+    pages: Vec<u32>,
+    last: u32,
+}
+
+impl Default for GatherPages {
+    fn default() -> GatherPages {
+        GatherPages { pages: Vec::new(), last: u32::MAX }
+    }
+}
+
+impl GatherPages {
+    /// An empty record.
+    pub fn new() -> GatherPages {
+        GatherPages::default()
+    }
+
+    /// Record a touch of `page`; repeats of the previous page are dropped.
+    #[inline]
+    pub fn touch(&mut self, page: u32) {
+        if page != self.last {
+            self.pages.push(page);
+            self.last = page;
+        }
+    }
+}
 
 /// One encoded column plus its storage identity.
 #[derive(Debug)]
@@ -25,21 +62,38 @@ pub struct StoredColumn {
     /// The encoded payload.
     pub column: Column,
     file: FileId,
+    /// On-disk bytes, computed once: the column is immutable, and every
+    /// page charge needs the size of the page it reads.
+    bytes: u64,
+    /// Bytes of the dictionary prefix of a dictionary column (`None` for
+    /// every other encoding), computed once for the same reason.
+    dict_bytes: Option<u64>,
     /// Lazily computed zone-map bounds (see
-    /// [`StoredColumn::int_code_bounds`]): the column is immutable, so the
-    /// value sweep for plain/RLE integers runs at most once per column, not
-    /// once per query.
-    code_bounds: std::sync::OnceLock<Option<(i64, u64)>>,
+    /// [`StoredColumn::int_code_bounds`]): the value sweep for plain/RLE
+    /// integers runs at most once per column, not once per query.
+    code_bounds: OnceLock<Option<(i64, u64)>>,
+    /// Lazily built position → code table (see [`StoredColumn::row_codes`]).
+    row_codes: OnceLock<Option<Box<[u32]>>>,
+    /// Lazily built position → page table (see [`StoredColumn::row_pages`]).
+    row_pages: OnceLock<Option<Box<[u32]>>>,
 }
 
 impl StoredColumn {
     /// Wrap an encoded column under `name`.
     pub fn new(name: impl Into<String>, column: Column) -> StoredColumn {
+        let dict_bytes = match &column {
+            Column::Str(s @ StrColumn::Dict { .. }) => Some(s.dict_bytes()),
+            _ => None,
+        };
         StoredColumn {
             name: name.into(),
+            bytes: column.encoded_bytes(),
+            dict_bytes,
             column,
             file: FileId::fresh(),
-            code_bounds: std::sync::OnceLock::new(),
+            code_bounds: OnceLock::new(),
+            row_codes: OnceLock::new(),
+            row_pages: OnceLock::new(),
         }
     }
 
@@ -53,9 +107,47 @@ impl StoredColumn {
         })
     }
 
+    /// The code of every position, built once per column: `value -
+    /// reference` for integers with [`StoredColumn::int_code_bounds`], the
+    /// dictionary code for dictionary strings, `None` for columns without a
+    /// code space (plain strings, integers wider than `u32`). Phase 3 looks
+    /// group codes up here by dimension row instead of decoding per row.
+    /// Built from the in-memory column; it charges no I/O.
+    pub fn row_codes(&self) -> Option<&[u32]> {
+        self.row_codes
+            .get_or_init(|| match &self.column {
+                Column::Int(int) => {
+                    let (reference, _) = self.int_code_bounds()?;
+                    Some(int.decode().into_iter().map(|v| (v - reference) as u32).collect())
+                }
+                Column::Str(StrColumn::Dict { codes, .. }) => {
+                    Some(codes.iter().map(|c| c as u32).collect())
+                }
+                Column::Str(StrColumn::Plain { .. }) => None,
+            })
+            .as_deref()
+    }
+
+    /// The page [`StoredColumn::charge_gather`] touches for every position,
+    /// built once per column, for gathers in arbitrary order (dimension
+    /// rows in fact order). `None` when the column has a single page: every
+    /// position then touches page 0. Built from the in-memory column; it
+    /// charges no I/O.
+    pub fn row_pages(&self) -> Option<&[u32]> {
+        self.row_pages
+            .get_or_init(|| {
+                if self.pages() == 1 {
+                    return None;
+                }
+                let n = self.column.len() as u32;
+                Some((0..n).map(|p| self.page_of(p)).collect())
+            })
+            .as_deref()
+    }
+
     /// On-disk bytes.
     pub fn bytes(&self) -> u64 {
-        self.column.encoded_bytes()
+        self.bytes
     }
 
     /// On-disk pages.
@@ -66,6 +158,11 @@ impl StoredColumn {
     /// Storage file id.
     pub fn file_id(&self) -> FileId {
         self.file
+    }
+
+    /// Bytes of `page` (the last page of a file may be short).
+    fn page_bytes(&self, page: u32) -> u64 {
+        (self.bytes - page as u64 * PAGE_SIZE).min(PAGE_SIZE)
     }
 
     /// Charge a full sequential scan of this column.
@@ -122,8 +219,8 @@ impl StoredColumn {
             // charge_gather touches, so a gather within a scanned morsel
             // never reaches a page the morsel's scan missed. Every fragment
             // charges the dictionary; repeated pages dedup to pool hits.
-            Column::Str(StrColumn::Dict { dict, codes }) => {
-                let dict_bytes: u64 = dict.iter().map(|s| 1 + s.len() as u64).sum();
+            Column::Str(StrColumn::Dict { codes, .. }) => {
+                let dict_bytes = self.dict_bytes.unwrap_or(0);
                 let k = codes.lanes_per_word() as u64;
                 let hi = dict_bytes + ((end - 1) as u64 / k + 1) * 8;
                 if start == 0 {
@@ -133,8 +230,7 @@ impl StoredColumn {
                     if dict_bytes > 0 {
                         let last = ((dict_bytes - 1) / PAGE_SIZE) as u32;
                         for page in 0..=last {
-                            let bytes = (total - page as u64 * PAGE_SIZE).min(PAGE_SIZE);
-                            io.read_page(PageId { file: self.file, page }, bytes);
+                            io.read_page(PageId { file: self.file, page }, self.page_bytes(page));
                         }
                     }
                     (dict_bytes + start as u64 / k * 8, hi.min(total))
@@ -148,73 +244,106 @@ impl StoredColumn {
         let first = (byte_lo / PAGE_SIZE) as u32;
         let last = ((byte_hi - 1) / PAGE_SIZE) as u32;
         for page in first..=last {
-            let bytes = (total - page as u64 * PAGE_SIZE).min(PAGE_SIZE);
-            io.read_page(PageId { file: self.file, page }, bytes);
+            io.read_page(PageId { file: self.file, page }, self.page_bytes(page));
         }
     }
 
-    /// Charge a positional gather: `positions` must be ascending. Only the
-    /// distinct pages containing the positions are fetched.
+    /// The page a positional gather touches for `pos`.
     ///
     /// Page mapping per encoding:
     /// * plain ints — `pos × width`;
-    /// * RLE — byte offset of the containing run (runs located by binary
-    ///   search);
-    /// * dictionary strings — code array offset (the dictionary itself is
-    ///   charged in full once: it is small and needed to decode anything);
+    /// * RLE — byte offset of the containing run;
+    /// * packed ints — offset of the 8-byte word holding the lane;
+    /// * dictionary strings — code word offset after the dictionary prefix
+    ///   (the dictionary itself is charged in full once per gather: it is
+    ///   small and needed to decode anything);
     /// * plain strings — approximated with the column's mean value length
     ///   (exact per-value offsets would require scanning, which positional
     ///   extraction precisely avoids).
-    pub fn charge_gather(&self, positions: impl IntoIterator<Item = u32>, io: &IoSession) {
-        io.begin_op();
-        let mut last_page = u32::MAX;
-        let mut touch = |byte_off: u64| {
-            let page = (byte_off / PAGE_SIZE) as u32;
-            if page != last_page {
-                let bytes = (self.bytes() - page as u64 * PAGE_SIZE).min(PAGE_SIZE);
-                io.read_page(PageId { file: self.file, page }, bytes);
-                last_page = page;
+    ///
+    /// The page never decreases as `pos` grows. RLE locates the run by
+    /// binary search; bulk paths use a [`RunCursor`] instead.
+    pub fn page_of(&self, pos: u32) -> u32 {
+        let p = pos as u64;
+        let byte = match &self.column {
+            Column::Int(IntColumn::Plain { width, .. }) => p * *width as u64,
+            Column::Int(rle @ IntColumn::Rle { .. }) => return run_page(rle.run_containing(pos)),
+            Column::Int(IntColumn::Packed { packed, .. }) => p / packed.lanes_per_word() as u64 * 8,
+            Column::Str(StrColumn::Dict { codes, .. }) => {
+                self.dict_bytes.unwrap_or(0) + p / codes.lanes_per_word() as u64 * 8
             }
+            Column::Str(StrColumn::Plain { values, bytes }) => p * mean_len(values.len(), *bytes),
         };
-        match &self.column {
-            Column::Int(IntColumn::Plain { width, .. }) => {
-                let w = *width as u64;
-                for p in positions {
-                    touch(p as u64 * w);
-                }
+        (byte / PAGE_SIZE) as u32
+    }
+
+    /// Record the pages a gather of `positions` (any order) touches: one
+    /// [`StoredColumn::page_of`] a position, except that RLE columns follow
+    /// the positions with a [`RunCursor`] instead of a binary search each.
+    fn record_gather(&self, positions: impl IntoIterator<Item = u32>, rec: &mut GatherPages) {
+        if let Column::Int(IntColumn::Rle { runs, .. }) = &self.column {
+            let mut cursor = RunCursor::new(runs);
+            for p in positions {
+                rec.touch(run_page(cursor.seek(p)));
             }
-            Column::Int(rle @ IntColumn::Rle { .. }) => {
-                for p in positions {
-                    let run = rle.run_containing(p) as u64;
-                    touch(run * RLE_RUN_BYTES);
-                }
-            }
-            Column::Int(IntColumn::Packed { packed, .. }) => {
-                let k = packed.lanes_per_word() as u64;
-                for p in positions {
-                    touch(p as u64 / k * 8);
-                }
-            }
-            Column::Str(StrColumn::Dict { dict, codes }) => {
-                let dict_bytes: u64 = dict.iter().map(|s| 1 + s.len() as u64).sum();
-                // Dictionary read once, at the front of the file.
-                let dict_pages = pages_for(dict_bytes);
-                for p in 0..dict_pages {
-                    let bytes = (dict_bytes - p as u64 * PAGE_SIZE).min(PAGE_SIZE);
-                    io.read_page(PageId { file: self.file, page: p }, bytes);
-                }
-                let k = codes.lanes_per_word() as u64;
-                for p in positions {
-                    touch(dict_bytes + p as u64 / k * 8);
-                }
-            }
-            Column::Str(StrColumn::Plain { values, bytes }) => {
-                let avg = if values.is_empty() { 1 } else { (*bytes / values.len() as u64).max(1) };
-                for p in positions {
-                    touch(p as u64 * avg);
-                }
+        } else {
+            positions.into_iter().for_each(|p| rec.touch(self.page_of(p)));
+        }
+    }
+
+    /// [`StoredColumn::record_gather`] for *ascending* `positions`, with
+    /// [`StoredColumn::page_of`] calls proportional to the pages rather
+    /// than the positions: pages never decrease along ascending positions,
+    /// so the positions on each page are skipped by a binary search.
+    /// Successive calls continue one gather, so a long position list may be
+    /// recorded block by block.
+    pub fn record_ascending(&self, positions: &[u32], rec: &mut GatherPages) {
+        let mut rest = positions;
+        while let Some(&first) = rest.first() {
+            let page = self.page_of(first);
+            rec.touch(page);
+            rest = &rest[rest.partition_point(|&p| self.page_of(p) <= page)..];
+        }
+    }
+
+    /// Charge one recorded gather as one op: the whole dictionary prefix of
+    /// a dictionary column, then the recorded pages.
+    pub fn charge_pages(&self, rec: &GatherPages, io: &IoSession) {
+        io.begin_op();
+        if let Some(dict_bytes) = self.dict_bytes {
+            for page in 0..pages_for(dict_bytes) {
+                let bytes = (dict_bytes - page as u64 * PAGE_SIZE).min(PAGE_SIZE);
+                io.read_page(PageId { file: self.file, page }, bytes);
             }
         }
+        for &page in &rec.pages {
+            io.read_page(PageId { file: self.file, page }, self.page_bytes(page));
+        }
+    }
+
+    /// Charge a positional gather of `positions`, in the given order: the
+    /// pages [`StoredColumn::page_of`] maps them to, each change of page
+    /// one read (see [`GatherPages`]). Ascending positions fetch only the
+    /// distinct pages containing them.
+    pub fn charge_gather(&self, positions: impl IntoIterator<Item = u32>, io: &IoSession) {
+        let mut rec = GatherPages::new();
+        self.record_gather(positions, &mut rec);
+        self.charge_pages(&rec, io);
+    }
+}
+
+/// The page holding run `run` of an RLE column.
+fn run_page(run: usize) -> u32 {
+    (run as u64 * RLE_RUN_BYTES / PAGE_SIZE) as u32
+}
+
+/// Mean on-disk value length of a plain string column (at least 1 byte),
+/// the position → byte scale its gathers use.
+fn mean_len(values: usize, bytes: u64) -> u64 {
+    if values == 0 {
+        1
+    } else {
+        (bytes / values as u64).max(1)
     }
 }
 

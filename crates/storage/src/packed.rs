@@ -161,6 +161,39 @@ impl PackedInts {
         (word >> ((i % lanes) * lane_bits)) & max_code_for(self.value_bits)
     }
 
+    /// Codes at `positions`, written to the front of `out` (which must be at
+    /// least as long): [`PackedInts::get`] for a whole batch, with the lane
+    /// geometry read once and the lane division by a compile-time constant
+    /// for every width up to [`MAX_VALUE_BITS`].
+    pub fn gather(&self, positions: &[u32], out: &mut [u64]) {
+        match 64 / (self.value_bits as u32 + 1) {
+            32 => self.gather_lanes::<32>(positions, out),
+            21 => self.gather_lanes::<21>(positions, out),
+            16 => self.gather_lanes::<16>(positions, out),
+            12 => self.gather_lanes::<12>(positions, out),
+            10 => self.gather_lanes::<10>(positions, out),
+            9 => self.gather_lanes::<9>(positions, out),
+            8 => self.gather_lanes::<8>(positions, out),
+            7 => self.gather_lanes::<7>(positions, out),
+            6 => self.gather_lanes::<6>(positions, out),
+            5 => self.gather_lanes::<5>(positions, out),
+            4 => self.gather_lanes::<4>(positions, out),
+            3 => self.gather_lanes::<3>(positions, out),
+            _ => self.gather_lanes::<2>(positions, out),
+        }
+    }
+
+    #[inline(always)]
+    fn gather_lanes<const LANES: u32>(&self, positions: &[u32], out: &mut [u64]) {
+        debug_assert_eq!(LANES, 64 / (self.value_bits as u32 + 1));
+        let lane_bits = self.value_bits as u32 + 1;
+        let mask = max_code_for(self.value_bits);
+        for (o, &i) in out.iter_mut().zip(positions) {
+            debug_assert!(i < self.len);
+            *o = (self.words[(i / LANES) as usize] >> ((i % LANES) * lane_bits)) & mask;
+        }
+    }
+
     /// Visit the codes of positions `[start, end)` in order, unpacking one
     /// word at a time (the bulk decode path; faster than repeated
     /// [`PackedInts::get`]).
